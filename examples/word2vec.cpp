@@ -19,11 +19,12 @@
 
 namespace {
 
-// Embedding of word w = column w of the hidden layer's weight matrix.
+// Embedding of word w = every hidden neuron's weight on input w (one
+// contiguous row of the feature-major input layer).
 std::vector<float> embedding(const slide::Network& net, std::uint32_t word) {
   const slide::Layer& hidden = net.layer(0);
   std::vector<float> e(hidden.dim());
-  for (std::uint32_t j = 0; j < hidden.dim(); ++j) e[j] = hidden.row_f32(j)[word];
+  for (std::uint32_t n = 0; n < hidden.dim(); ++n) e[n] = hidden.weight(n, word);
   return e;
 }
 

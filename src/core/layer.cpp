@@ -4,6 +4,7 @@
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "lsh/dwta.h"
@@ -21,13 +22,38 @@ float init_stddev(Activation act, std::size_t fan_in, std::size_t fan_out) {
   return std::sqrt(2.0f / static_cast<float>(fan_in + fan_out));
 }
 
+// The one split rule for arena sweeps (ADAM, weight init): rows go to the
+// pool in grains of about kSweepGrainElems elements, and a sweep of a
+// single grain stays on the calling thread.
+constexpr std::size_t kSweepGrainElems = std::size_t{1} << 14;
+
+template <class Fn>
+void sweep_rows(ThreadPool* pool, std::size_t rows, std::size_t elems_per_row, const Fn& fn) {
+  const std::size_t grain =
+      std::max<std::size_t>(1, kSweepGrainElems / std::max<std::size_t>(1, elems_per_row));
+  if (pool == nullptr || pool->size() == 1 || rows <= grain) {
+    fn(0, rows);
+    return;
+  }
+  pool->parallel_for_dynamic(rows, grain,
+                             [&](unsigned, std::size_t b, std::size_t e) { fn(b, e); });
+}
+
 }  // namespace
 
 Layer::Layer(std::size_t input_dim, const LayerConfig& cfg, Precision precision,
-             std::uint64_t seed)
-    : input_dim_(input_dim), dim_(cfg.dim), cfg_(cfg), precision_(precision), seed_(seed) {
+             std::uint64_t seed, WeightLayout layout, ThreadPool* pool)
+    : input_dim_(input_dim),
+      dim_(cfg.dim),
+      cfg_(cfg),
+      precision_(precision),
+      seed_(seed),
+      layout_(layout) {
   if (input_dim_ == 0) throw std::invalid_argument("Layer: input_dim must be > 0");
   if (dim_ == 0) throw std::invalid_argument("Layer: dim must be > 0");
+  if (feature_major() && cfg_.lsh.kind != HashKind::None) {
+    throw std::invalid_argument("Layer: a hashed layer must be NeuronMajor");
+  }
 
   const std::size_t total = dim_ * input_dim_;
   bias_.assign(dim_, 0.0f);
@@ -40,21 +66,7 @@ Layer::Layer(std::size_t input_dim, const LayerConfig& cfg, Precision precision,
   dirty_ = std::make_unique<std::atomic<std::uint8_t>[]>(dim_);
   for (std::size_t n = 0; n < dim_; ++n) dirty_[n].store(0, std::memory_order_relaxed);
 
-  // Deterministic per-neuron init streams: the same weights regardless of
-  // how construction is ever parallelized.
-  const float stddev = init_stddev(cfg_.activation, input_dim_, dim_);
-  w_.resize(total);
-  for (std::size_t n = 0; n < dim_; ++n) {
-    Rng rng(mix64(seed, n, 0xC0FFEEull));
-    float* row = w_.data() + n * input_dim_;
-    for (std::size_t j = 0; j < input_dim_; ++j) row[j] = stddev * rng.normal_float();
-  }
-  if (precision_ == Precision::Bf16All) {
-    w16_.resize(total);
-    kernels::fp32_to_bf16(w_.data(), w16_.data(), total);
-    w_.clear();
-    w_.shrink_to_fit();  // paper mode 1: no fp32 master copy
-  }
+  init_weights(init_stddev(cfg_.activation, input_dim_, dim_), pool);
 
   if (cfg_.lsh.kind != HashKind::None) {
     if (cfg_.lsh.kind == HashKind::Dwta) {
@@ -77,6 +89,61 @@ Layer::Layer(std::size_t input_dim, const LayerConfig& cfg, Precision precision,
       for (std::size_t n = 0; n < dim_; ++n) touched_[n].store(0, std::memory_order_relaxed);
       current_buckets_.resize(dim_ * family_->num_tables());
     }
+  }
+}
+
+// Deterministic per-neuron init streams: neuron n's weights are the first
+// input_dim draws of its own stream, in either layout and however the work
+// is split over the pool.  A FeatureMajor task owns a block of kInitColumns
+// neurons (whole cache lines of either arena) and advances their streams
+// side by side, one feature row at a time.  Bf16All converts as it goes, so
+// no fp32 copy of the arena is ever staged (paper mode 1: no fp32 master).
+void Layer::init_weights(float stddev, ThreadPool* pool) {
+  const bool bf16_w = precision_ == Precision::Bf16All;
+  if (bf16_w) {
+    w16_.resize(dim_ * input_dim_);
+  } else {
+    w_.resize(dim_ * input_dim_);
+  }
+  const auto stream = [&](std::size_t n) { return Rng(mix64(seed_, n, 0xC0FFEEull)); };
+
+  if (!feature_major()) {
+    sweep_rows(pool, dim_, input_dim_, [&](std::size_t begin, std::size_t end) {
+      AlignedVector<float> staged(bf16_w ? input_dim_ : 0);
+      for (std::size_t n = begin; n < end; ++n) {
+        Rng rng = stream(n);
+        float* row = bf16_w ? staged.data() : w_.data() + n * input_dim_;
+        for (std::size_t j = 0; j < input_dim_; ++j) row[j] = stddev * rng.normal_float();
+        if (bf16_w) kernels::fp32_to_bf16(row, w16_.data() + n * input_dim_, input_dim_);
+      }
+    });
+    return;
+  }
+  constexpr std::size_t kInitColumns = 32;
+  const std::size_t blocks = (dim_ + kInitColumns - 1) / kInitColumns;
+  sweep_rows(pool, blocks, kInitColumns * input_dim_, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t b = begin; b < end; ++b) {
+      const std::size_t n0 = b * kInitColumns;
+      const std::size_t width = std::min(kInitColumns, dim_ - n0);
+      std::vector<Rng> streams;
+      for (std::size_t n = 0; n < width; ++n) streams.push_back(stream(n0 + n));
+      float staged[kInitColumns];
+      for (std::size_t j = 0; j < input_dim_; ++j) {
+        float* out = bf16_w ? staged : w_.data() + j * dim_ + n0;
+        for (std::size_t n = 0; n < width; ++n) out[n] = stddev * streams[n].normal_float();
+        if (bf16_w) kernels::fp32_to_bf16(staged, w16_.data() + j * dim_ + n0, width);
+      }
+    }
+  });
+}
+
+void Layer::accumulate_grad_input(data::SparseVectorView x, const float* g) {
+  for (std::size_t k = 0; k < x.nnz; ++k) {
+    kernels::axpy_f32(x.values[k], g, gw_.data() + std::size_t{x.indices[k]} * dim_, dim_);
+  }
+  kernels::axpy_f32(1.0f, g, gb_.data(), dim_);
+  for (std::size_t n = 0; n < dim_; ++n) {
+    if (g[n] != 0.0f) mark_dirty(static_cast<std::uint32_t>(n));
   }
 }
 
@@ -106,32 +173,58 @@ void Layer::backprop_to_sparse(std::uint32_t n, float g, const std::uint32_t* pr
 }
 
 void Layer::adam_step(const AdamConfig& cfg, const AdamBias& bias, ThreadPool* pool) {
-  const auto update_rows = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t n = begin; n < end; ++n) {
-      if (dirty_[n].load(std::memory_order_relaxed) == 0) continue;
-      dirty_[n].store(0, std::memory_order_relaxed);
-      const std::size_t row = n * input_dim_;
-      if (precision_ == Precision::Bf16All) {
-        kernels::adam_step_bf16(w16_.data() + row, mw_.data() + row, vw_.data() + row,
-                                gw_.data() + row, input_dim_, cfg.lr, cfg.beta1, cfg.beta2,
-                                cfg.eps, bias.inv_bias1, bias.inv_bias2);
-      } else {
-        kernels::adam_step_f32(w_.data() + row, mw_.data() + row, vw_.data() + row,
-                               gw_.data() + row, input_dim_, cfg.lr, cfg.beta1, cfg.beta2,
-                               cfg.eps, bias.inv_bias1, bias.inv_bias2);
-      }
-      kernels::adam_step_f32(bias_.data() + n, mb_.data() + n, vb_.data() + n, gb_.data() + n,
-                             1, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, bias.inv_bias1,
-                             bias.inv_bias2);
+  // ADAM over `count` consecutive elements of the weight-shaped arenas.
+  const auto adam_weights = [&](std::size_t at, std::size_t count) {
+    if (precision_ == Precision::Bf16All) {
+      kernels::adam_step_bf16(w16_.data() + at, mw_.data() + at, vw_.data() + at,
+                              gw_.data() + at, count, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps,
+                              bias.inv_bias1, bias.inv_bias2);
+    } else {
+      kernels::adam_step_f32(w_.data() + at, mw_.data() + at, vw_.data() + at,
+                             gw_.data() + at, count, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps,
+                             bias.inv_bias1, bias.inv_bias2);
     }
   };
-  if (pool != nullptr && dim_ >= 256) {
-    pool->parallel_for_dynamic(dim_, 64, [&](unsigned, std::size_t b, std::size_t e) {
-      update_rows(b, e);
+  const auto adam_biases = [&](std::size_t n, std::size_t count) {
+    kernels::adam_step_f32(bias_.data() + n, mb_.data() + n, vb_.data() + n, gb_.data() + n,
+                           count, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, bias.inv_bias1,
+                           bias.inv_bias2);
+  };
+
+  if (!feature_major()) {
+    sweep_rows(pool, dim_, input_dim_, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t n = begin; n < end; ++n) {
+        if (dirty_[n].load(std::memory_order_relaxed) == 0) continue;
+        dirty_[n].store(0, std::memory_order_relaxed);
+        adam_weights(n * input_dim_, input_dim_);
+        adam_biases(n, 1);
+      }
     });
-  } else {
-    update_rows(0, dim_);
+    return;
   }
+
+  // FeatureMajor: the dirty neurons as runs of adjacent columns, so each
+  // feature row takes a few contiguous sweeps (one once every neuron is
+  // dirty, the common case for a dense layer).
+  std::vector<std::pair<std::size_t, std::size_t>> runs;  // [begin, end)
+  std::size_t dirty = 0;
+  for (std::size_t n = 0; n < dim_; ++n) {
+    if (dirty_[n].load(std::memory_order_relaxed) == 0) continue;
+    dirty_[n].store(0, std::memory_order_relaxed);
+    ++dirty;
+    if (!runs.empty() && runs.back().second == n) {
+      ++runs.back().second;
+    } else {
+      runs.emplace_back(n, n + 1);
+    }
+  }
+  if (dirty == 0) return;
+  for (const auto& [b, e] : runs) adam_biases(b, e - b);
+  sweep_rows(pool, input_dim_, dirty, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t f = begin; f < end; ++f) {
+      for (const auto& [b, e] : runs) adam_weights(f * dim_ + b, e - b);
+    }
+  });
 }
 
 void Layer::hash_all_neurons(std::uint32_t* bucket_indices, ThreadPool* pool) const {

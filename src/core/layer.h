@@ -2,18 +2,30 @@
 // LSH neuron sampling.
 //
 // Memory layout (paper Section 4.1, "Removing Parameter Memory
-// Fragmentation"): all neuron weight rows live in ONE aligned arena in
-// row-major order, as do the gradient arena and the ADAM moment arenas, so
-// neighbouring neurons selected in the same batch share cache lines and the
-// per-batch ADAM sweep streams contiguously (Fig. 3).
+// Fragmentation"): the weights, the gradient and both ADAM moments each live
+// in ONE aligned arena, all four in the same row order, so what one training
+// step touches is contiguous and the per-batch ADAM sweep streams (Fig. 3).
+// The row order is chosen per layer (WeightLayout):
+//   NeuronMajor   one input_dim-wide row per neuron: SLIDE's layout.  Hashed
+//                 layers keep it, because their tables hash whole neuron
+//                 rows and forward/backward touch only the active rows.
+//   FeatureMajor  one dim-wide row per input feature: the dense layer fed by
+//                 the sparse input.  Forward is h = b + sum_k x_k * W[idx_k],
+//                 nnz contiguous row sweeps (Algorithm 2) instead of dim
+//                 gathered dots; backward is G[idx_k] += x_k * g, nnz rows
+//                 instead of dim scattered ones; ADAM sweeps feature rows on
+//                 the pool.  Either way ADAM updates exactly the dirty
+//                 neurons' weights: rows in one layout, columns in the other.
+// Network gives layer 0 FeatureMajor whenever it is not hashed.
 //
 // Gradients are accumulated HOGWILD-style: worker threads add into the
 // shared gradient arena without synchronization (Recht et al. 2011; paper
 // Section 2).  Lost updates are tolerated by design — SLIDE's active sets
 // are sparse enough that collisions are rare.  The per-neuron dirty flags
-// ARE atomic (relaxed), so the ADAM sweep never misses a touched row.
+// ARE atomic (relaxed), so the ADAM sweep never misses a touched neuron.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -31,10 +43,37 @@
 
 namespace slide {
 
+enum class WeightLayout { NeuronMajor, FeatureMajor };
+
+// The layout Network (and a frozen PackedModel) gives the layer at
+// `position`: FeatureMajor for a dense layer 0, NeuronMajor otherwise.
+inline WeightLayout weight_layout_for(std::size_t position, const LayerConfig& cfg) {
+  return position == 0 && cfg.lsh.kind == HashKind::None ? WeightLayout::FeatureMajor
+                                                         : WeightLayout::NeuronMajor;
+}
+
+// Forward pass of a feature-major layer over a sparse input:
+// out[n] = bias[n] + sum_k x_k * w[idx_k][n].  Training and the frozen
+// engine both call this, so their activations agree bit for bit.
+inline void feature_major_forward(const float* w, const float* bias, std::size_t dim,
+                                  data::SparseVectorView x, float* out) {
+  std::copy(bias, bias + dim, out);
+  kernels::sparse_axpy_rows_f32(x.indices, x.values, x.nnz, w, dim, out, dim);
+}
+inline void feature_major_forward(const bf16* w, const float* bias, std::size_t dim,
+                                  data::SparseVectorView x, float* out) {
+  std::copy(bias, bias + dim, out);
+  kernels::sparse_axpy_rows_bf16(x.indices, x.values, x.nnz, w, dim, out, dim);
+}
+
 class Layer {
  public:
+  // FeatureMajor requires a dense layer (cfg.lsh.kind == None).  The
+  // initial weights are drawn on `pool` when one is given; they do not
+  // depend on it.
   Layer(std::size_t input_dim, const LayerConfig& cfg, Precision precision,
-        std::uint64_t seed);
+        std::uint64_t seed, WeightLayout layout = WeightLayout::NeuronMajor,
+        ThreadPool* pool = nullptr);
 
   // Movable (Network stores layers in a vector), not copyable.
   Layer(Layer&&) noexcept = default;
@@ -52,8 +91,30 @@ class Layer {
   bool uses_hashing() const { return family_ != nullptr; }
   const LayerConfig& config() const { return cfg_; }
   std::size_t num_params() const { return dim_ * input_dim_ + dim_; }
+  bool feature_major() const { return layout_ == WeightLayout::FeatureMajor; }
 
-  // --- forward ------------------------------------------------------------
+  // Arena index of neuron n's weight on input j, in either layout; indexes
+  // the weight, gradient and moment arenas alike.
+  std::size_t weight_index(std::uint32_t n, std::size_t j) const {
+    return feature_major() ? j * dim_ + n : std::size_t{n} * input_dim_ + j;
+  }
+  // Neuron n's weight on input j (widened from bf16 under Bf16All).
+  float weight(std::uint32_t n, std::size_t j) const {
+    const std::size_t i = weight_index(n, j);
+    return precision_ == Precision::Bf16All ? w16_[i].to_float() : w_[i];
+  }
+
+  // --- forward (FeatureMajor) ----------------------------------------------
+  // Pre-activations of all dim() neurons for a sparse input.
+  void pre_activation_all(data::SparseVectorView x, float* out) const {
+    if (precision_ == Precision::Bf16All) {
+      feature_major_forward(w16_.data(), bias_.data(), dim_, x, out);
+    } else {
+      feature_major_forward(w_.data(), bias_.data(), dim_, x, out);
+    }
+  }
+
+  // --- forward (NeuronMajor) -----------------------------------------------
   // Pre-activation of one neuron.  The caller picks the overload matching
   // the previous layer's stored activation format.
   float pre_activation(std::uint32_t n, data::SparseVectorView x) const {
@@ -99,6 +160,11 @@ class Layer {
   }
 
   // --- backward (HOGWILD; called concurrently from worker threads) --------
+  // FeatureMajor: G[idx_k] += x_k * g for every input feature, where g holds
+  // dL/dz for all dim() neurons; marks the neurons with g != 0 dirty.
+  void accumulate_grad_input(data::SparseVectorView x, const float* g);
+
+  // NeuronMajor from here on.
   // Accumulates g * prev_act into neuron n's gradient row (dense input).
   void accumulate_grad_dense(std::uint32_t n, float g, const float* prev_act) {
     const std::size_t row = static_cast<std::size_t>(n) * input_dim_;
@@ -127,14 +193,21 @@ class Layer {
   void backprop_to_sparse(std::uint32_t n, float g, const std::uint32_t* prev_active,
                           std::size_t count, float* scratch, float* prev_grad_compact) const;
 
+  // Loads before storing: once a flag is set, the other workers' copies of
+  // its cache line stay valid.
   void mark_dirty(std::uint32_t n) {
-    dirty_[n].store(1, std::memory_order_relaxed);
-    if (incremental_) touched_[n].store(1, std::memory_order_relaxed);
+    if (dirty_[n].load(std::memory_order_relaxed) == 0) {
+      dirty_[n].store(1, std::memory_order_relaxed);
+    }
+    if (incremental_ && touched_[n].load(std::memory_order_relaxed) == 0) {
+      touched_[n].store(1, std::memory_order_relaxed);
+    }
   }
 
   // --- optimizer -----------------------------------------------------------
-  // Applies ADAM to every dirty row (plus its bias) and clears the flags.
-  // Parallel over neurons when a pool is given.
+  // Applies ADAM to every dirty neuron's weights (plus its bias) and clears
+  // the flags.  Parallel over arena rows when a pool is given and the sweep
+  // is large enough to pay for it.
   void adam_step(const AdamConfig& cfg, const AdamBias& bias, ThreadPool* pool);
 
   // --- LSH maintenance -------------------------------------------------------
@@ -160,6 +233,7 @@ class Layer {
   }
 
   // --- raw access (serialization, tests) -----------------------------------
+  // The arenas in layout order (see weight_index).
   std::span<float> weights_f32() { return {w_.data(), w_.size()}; }
   std::span<const float> weights_f32() const { return {w_.data(), w_.size()}; }
   std::span<bf16> weights_bf16() { return {w16_.data(), w16_.size()}; }
@@ -175,7 +249,8 @@ class Layer {
   std::span<const float> bias_moment1() const { return {mb_.data(), mb_.size()}; }
   std::span<float> bias_moment2() { return {vb_.data(), vb_.size()}; }
   std::span<const float> bias_moment2() const { return {vb_.data(), vb_.size()}; }
-  // Row n of the fp32 weight arena (undefined for Bf16All; use row_bf16).
+  // Neuron n's row of a NeuronMajor arena (undefined for Bf16All; use
+  // row_bf16).  FeatureMajor layers have no neuron rows: use weight().
   const float* row_f32(std::uint32_t n) const { return w_.data() + std::size_t{n} * input_dim_; }
   const bf16* row_bf16(std::uint32_t n) const {
     return w16_.data() + std::size_t{n} * input_dim_;
@@ -184,14 +259,17 @@ class Layer {
  private:
   void hash_all_neurons(std::uint32_t* bucket_indices, ThreadPool* pool) const;
 
+  void init_weights(float stddev, ThreadPool* pool);
+
   std::size_t input_dim_ = 0;
   std::size_t dim_ = 0;
   LayerConfig cfg_;
   Precision precision_ = Precision::Fp32;
   std::uint64_t seed_ = 0;
+  WeightLayout layout_ = WeightLayout::NeuronMajor;
 
-  AlignedVector<float> w_;    // dim x input_dim, row-major (Fp32 / Bf16Activations)
-  AlignedVector<bf16> w16_;   // dim x input_dim, row-major (Bf16All)
+  AlignedVector<float> w_;    // dim x input_dim in layout order (Fp32 / Bf16Activations)
+  AlignedVector<bf16> w16_;   // dim x input_dim in layout order (Bf16All)
   AlignedVector<float> bias_;
   AlignedVector<float> gw_;   // gradient arena, same shape as weights
   AlignedVector<float> gb_;

@@ -35,12 +35,14 @@ Network::Network(NetworkConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.layers.empty()) throw std::invalid_argument("Network: needs at least one layer");
   layers_.reserve(cfg_.layers.size());
   std::size_t prev = cfg_.input_dim;
+  ThreadPool& pool = global_pool();
   for (std::size_t i = 0; i < cfg_.layers.size(); ++i) {
     layers_.emplace_back(prev, cfg_.layers[i], cfg_.precision,
-                         mix64(cfg_.seed, i, 0x1A7E8ull));
+                         mix64(cfg_.seed, i, 0x1A7E8ull), weight_layout_for(i, cfg_.layers[i]),
+                         &pool);
     prev = cfg_.layers[i].dim;
   }
-  rebuild_hash_tables(&global_pool());
+  rebuild_hash_tables(&pool);
 }
 
 std::size_t Network::num_params() const {
@@ -86,16 +88,13 @@ float Network::forward(data::SparseVectorView x, std::span<const std::uint32_t> 
     lw.act.resize(count);
 
     // --- pre-activations ---------------------------------------------------
-    if (i == 0) {
-      // Sparse input: gather-based dots per neuron (Algorithm 1 over a
-      // sparse vector).
-      if (L.uses_hashing()) {
-        for (std::size_t k = 0; k < count; ++k) lw.act[k] = L.pre_activation(lw.active[k], x);
-      } else {
-        for (std::size_t j = 0; j < count; ++j) {
-          lw.act[j] = L.pre_activation(static_cast<std::uint32_t>(j), x);
-        }
-      }
+    if (i == 0 && L.feature_major()) {
+      // Sparse input into a feature-major layer: nnz row sweeps.
+      L.pre_activation_all(x, lw.act.data());
+    } else if (i == 0) {
+      // Sparse input into a hashed layer: gather-based dots per active
+      // neuron (Algorithm 1 over a sparse vector).
+      for (std::size_t k = 0; k < count; ++k) lw.act[k] = L.pre_activation(lw.active[k], x);
     } else {
       const auto& pw = ws.layers[i - 1];
       if (!pw.active.empty()) {
@@ -184,6 +183,10 @@ void Network::backward(data::SparseVectorView x, std::span<const std::uint32_t> 
       lw.gather_scratch.resize(prev_count);
     }
 
+    if (L.feature_major()) {
+      L.accumulate_grad_input(x, lw.grad.data());  // layer 0: nothing to propagate
+      continue;
+    }
     const std::size_t count = lw.act.size();
     for (std::size_t k = 0; k < count; ++k) {
       const float g = lw.grad[k];
@@ -235,7 +238,9 @@ void Network::forward_dense_all(data::SparseVectorView x, Workspace& ws) const {
     const std::size_t count = L.dim();
     lw.active.clear();
     lw.act.resize(count);
-    if (i == 0) {
+    if (i == 0 && L.feature_major()) {
+      L.pre_activation_all(x, lw.act.data());
+    } else if (i == 0) {
       for (std::size_t j = 0; j < count; ++j) {
         lw.act[j] = L.pre_activation(static_cast<std::uint32_t>(j), x);
       }

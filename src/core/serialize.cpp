@@ -2,7 +2,9 @@
 
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "core/serialize_io.h"
 #include "threading/thread_pool.h"
@@ -18,6 +20,21 @@ using io::write_layer_config;
 using io::write_pod;
 
 constexpr std::uint32_t kMagic = 0x534C444Eu;  // "SLDN"
+
+// One weight-shaped arena of L, in file order (see serialize_io.h).
+template <typename T>
+void write_arena(std::ostream& out, const Layer& L, std::span<const T> arena) {
+  std::vector<T> staged;
+  write_array(out, io::to_file_order(arena.data(), L.dim(), L.input_dim(), L.feature_major(),
+                                     staged),
+              arena.size());
+}
+
+template <typename T>
+void read_arena(std::istream& in, const Layer& L, std::span<T> arena) {
+  std::vector<T> staged;
+  io::read_file_order(in, arena.data(), L.dim(), L.input_dim(), L.feature_major(), staged);
+}
 
 }  // namespace
 
@@ -36,14 +53,14 @@ void save_network(const Network& net, std::ostream& out, bool include_moments) {
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
     const Layer& L = net.layer(i);
     if (cfg.precision == Precision::Bf16All) {
-      write_array(out, L.weights_bf16().data(), L.weights_bf16().size());
+      write_arena(out, L, L.weights_bf16());
     } else {
-      write_array(out, L.weights_f32().data(), L.weights_f32().size());
+      write_arena(out, L, L.weights_f32());
     }
     write_array(out, L.biases().data(), L.biases().size());
     if (include_moments) {
-      write_array(out, L.moment1().data(), L.moment1().size());
-      write_array(out, L.moment2().data(), L.moment2().size());
+      write_arena(out, L, L.moment1());
+      write_arena(out, L, L.moment2());
       write_array(out, L.bias_moment1().data(), L.bias_moment1().size());
       write_array(out, L.bias_moment2().data(), L.bias_moment2().size());
     }
@@ -59,7 +76,8 @@ Network load_network(std::istream& in) {
     throw std::runtime_error("checkpoint: unsupported version");
   }
   NetworkConfig cfg;
-  cfg.precision = static_cast<Precision>(read_pod<std::uint8_t>(in));
+  // Int8 is a serving-only precision: no Network trains at it.
+  cfg.precision = io::read_enum(in, Precision::Bf16All, "precision");
   cfg.input_dim = read_pod<std::uint64_t>(in);
   cfg.seed = read_pod<std::uint64_t>(in);
   const std::uint64_t adam_t = read_pod<std::uint64_t>(in);
@@ -71,14 +89,14 @@ Network load_network(std::istream& in) {
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
     Layer& L = net.layer(i);
     if (cfg.precision == Precision::Bf16All) {
-      read_array(in, L.weights_bf16().data(), L.weights_bf16().size());
+      read_arena(in, L, L.weights_bf16());
     } else {
-      read_array(in, L.weights_f32().data(), L.weights_f32().size());
+      read_arena(in, L, L.weights_f32());
     }
     read_array(in, L.biases().data(), L.biases().size());
     if (has_moments) {
-      read_array(in, L.moment1().data(), L.moment1().size());
-      read_array(in, L.moment2().data(), L.moment2().size());
+      read_arena(in, L, L.moment1());
+      read_arena(in, L, L.moment2());
       read_array(in, L.bias_moment1().data(), L.bias_moment1().size());
       read_array(in, L.bias_moment2().data(), L.bias_moment2().size());
     }

@@ -1,15 +1,18 @@
 // Low-level binary IO shared by the Network checkpoint format
 // (core/serialize.cpp) and the PackedModel serving format
-// (infer/packed_model.cpp): POD and array read/write plus the LayerConfig
-// record both formats embed.
+// (infer/packed_model.cpp): POD and array read/write, the LayerConfig
+// record both formats embed, and the file order of weight-shaped arenas.
 //
-// All readers throw std::runtime_error on truncated input.
+// All readers throw std::runtime_error on truncated or out-of-range input.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/config.h"
 
@@ -44,7 +47,7 @@ void read_array(std::istream& in, T* data, std::size_t count) {
 // the record before parsing it; keep it in sync with
 // write_layer_config/read_layer_config.
 inline constexpr std::size_t kLayerConfigWireBytes =
-    8 + 1 + 1 + 4 + 4 + 4 + 1 + 8 + 8 + 8 + 8 + 1;  // = 46
+    8 + 1 + 1 + 4 + 4 + 4 + 1 + 8 + 8 + 8 + 8 + 1;  // = 56
 
 inline void write_layer_config(std::ostream& out, const LayerConfig& cfg) {
   write_pod<std::uint64_t>(out, cfg.dim);
@@ -61,21 +64,76 @@ inline void write_layer_config(std::ostream& out, const LayerConfig& cfg) {
   write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(cfg.lsh.maintenance));
 }
 
+// Reads a one-byte enum, rejecting values past its last enumerator.
+template <typename Enum>
+Enum read_enum(std::istream& in, Enum last, const char* what) {
+  const auto v = read_pod<std::uint8_t>(in);
+  if (v > static_cast<std::uint8_t>(last)) {
+    throw std::runtime_error(std::string("checkpoint: invalid ") + what + " byte " +
+                             std::to_string(v));
+  }
+  return static_cast<Enum>(v);
+}
+
 inline LayerConfig read_layer_config(std::istream& in) {
   LayerConfig cfg;
   cfg.dim = read_pod<std::uint64_t>(in);
-  cfg.activation = static_cast<Activation>(read_pod<std::uint8_t>(in));
-  cfg.lsh.kind = static_cast<HashKind>(read_pod<std::uint8_t>(in));
+  cfg.activation = read_enum(in, Activation::Linear, "activation");
+  cfg.lsh.kind = read_enum(in, HashKind::SimHash, "hash kind");
   cfg.lsh.k = read_pod<std::int32_t>(in);
   cfg.lsh.l = read_pod<std::int32_t>(in);
   cfg.lsh.bucket_capacity = read_pod<std::uint32_t>(in);
-  cfg.lsh.bucket_policy = static_cast<lsh::BucketPolicy>(read_pod<std::uint8_t>(in));
+  cfg.lsh.bucket_policy = read_enum(in, lsh::BucketPolicy::Fifo, "bucket policy");
   cfg.lsh.min_active = read_pod<std::uint64_t>(in);
   cfg.lsh.max_active = read_pod<std::uint64_t>(in);
   cfg.lsh.rebuild_interval = read_pod<std::uint64_t>(in);
   cfg.lsh.rebuild_growth = read_pod<double>(in);
-  cfg.lsh.maintenance = static_cast<LshMaintenance>(read_pod<std::uint8_t>(in));
+  cfg.lsh.maintenance = read_enum(in, LshMaintenance::Incremental, "maintenance");
   return cfg;
+}
+
+// Files hold every weight-shaped arena neuron-major (dim rows of input_dim)
+// whatever its layout in memory: a feature-major arena is transposed at the
+// file boundary, so the bytes on disk never depend on the layout.
+
+// dst (cols x rows) = the transpose of src (rows x cols), tile by tile.
+template <typename T>
+void transpose(const T* src, std::size_t rows, std::size_t cols, T* dst) {
+  constexpr std::size_t kTile = 32;
+  for (std::size_t r0 = 0; r0 < rows; r0 += kTile) {
+    const std::size_t r1 = std::min(rows, r0 + kTile);
+    for (std::size_t c0 = 0; c0 < cols; c0 += kTile) {
+      const std::size_t c1 = std::min(cols, c0 + kTile);
+      for (std::size_t r = r0; r < r1; ++r) {
+        for (std::size_t c = c0; c < c1; ++c) dst[c * rows + r] = src[r * cols + c];
+      }
+    }
+  }
+}
+
+// The arena in file order: itself, or its transpose staged in `staged`.
+template <typename T>
+const T* to_file_order(const T* arena, std::size_t dim, std::size_t input_dim,
+                       bool feature_major, std::vector<T>& staged) {
+  if (!feature_major) return arena;
+  staged.resize(dim * input_dim);
+  transpose(arena, input_dim, dim, staged.data());
+  return staged.data();
+}
+
+// Reads a file-order arena into `arena`; returns the bytes as read (for
+// checksumming).
+template <typename T>
+const T* read_file_order(std::istream& in, T* arena, std::size_t dim, std::size_t input_dim,
+                         bool feature_major, std::vector<T>& staged) {
+  if (!feature_major) {
+    read_array(in, arena, dim * input_dim);
+    return arena;
+  }
+  staged.resize(dim * input_dim);
+  read_array(in, staged.data(), staged.size());
+  transpose(staged.data(), dim, input_dim, arena);
+  return staged.data();
 }
 
 }  // namespace slide::io

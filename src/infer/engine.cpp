@@ -97,7 +97,26 @@ bool InferenceEngine::forward_pass(data::SparseVectorView x, bool use_tables, Sc
     lw.act.resize(count);
 
     // --- pre-activations --------------------------------------------------
-    if (i == 0) {
+    if (i == 0 && L.feature_major) {
+      // Feature-major (dense) input layer: nnz row sweeps, the same routine
+      // training runs.  Int8 sums the same integers sparse_dot_u8s8 would
+      // per neuron, so the zero-point correction below is unchanged.
+      if (int8) {
+        s.acc32.resize(count);
+        s.wsum32.resize(count);
+        kernels::sparse_axpy_rows_u8s8(x.indices, s.qin.data(), x.nnz, L.w8.data(), L.dim,
+                                       s.acc32.data(), s.wsum32.data(), L.dim);
+        for (std::size_t n = 0; n < count; ++n) {
+          lw.act[n] = L.in_scale * L.w_scale[n] *
+                          static_cast<float>(s.acc32[n] - L.in_zero * s.wsum32[n]) +
+                      L.bias[n];
+        }
+      } else if (bf16_w) {
+        feature_major_forward(L.w16.data(), L.bias.data(), L.dim, x, lw.act.data());
+      } else {
+        feature_major_forward(L.w.data(), L.bias.data(), L.dim, x, lw.act.data());
+      }
+    } else if (i == 0) {
       for (std::size_t k = 0; k < count; ++k) {
         const std::uint32_t n =
             lw.active.empty() ? static_cast<std::uint32_t>(k) : lw.active[k];

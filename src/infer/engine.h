@@ -78,6 +78,7 @@ class InferenceEngine {
     std::vector<std::uint32_t> topk;
     AlignedVector<std::uint8_t> qin;     // int8 mode: quantized query values
     AlignedVector<std::int32_t> acc32;   // int8 mode: raw i32 dot accumulators
+    AlignedVector<std::int32_t> wsum32;  // int8 mode: input layer's zero-point weight sums
   };
   // RAII lease: returns the scratch to the freelist on destruction.
   class Lease {

@@ -56,8 +56,10 @@ PackedModel PackedModel::freeze(const Network& net, Precision precision) {
     L.dim = src.dim();
     L.seed = src.seed();
     L.cfg = src.config();
+    L.feature_major = src.feature_major();
     L.bias.assign(src.biases().begin(), src.biases().end());
 
+    // Same layout on both sides, so every conversion is elementwise.
     const std::size_t total = L.dim * L.input_dim;
     const bool src_bf16 = src.precision() == Precision::Bf16All;
     const bool dst_bf16 = precision == Precision::Bf16All;
@@ -89,6 +91,17 @@ struct QuantRange {
   float lo = 0.0f;
   float hi = 0.0f;
 };
+
+// w_rowsum[n] = sum_j w8(n, j), swept in arena order.
+void derive_rowsums(PackedModel::Layer& L) {
+  L.w_rowsum.assign(L.dim, 0);
+  const std::size_t rows = L.feature_major ? L.input_dim : L.dim;
+  const std::size_t width = L.feature_major ? L.dim : L.input_dim;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::int8_t* row = L.w8.data() + r * width;
+    for (std::size_t c = 0; c < width; ++c) L.w_rowsum[L.feature_major ? c : r] += row[c];
+  }
+}
 
 QuantRange choose_range(std::vector<float>& vals, const CalibrationConfig& cal) {
   QuantRange r;
@@ -137,6 +150,7 @@ PackedModel PackedModel::freeze(const Network& net, Precision precision,
     L.dim = src.dim();
     L.seed = src.seed();
     L.cfg = src.config();
+    L.feature_major = src.feature_major();
     L.bias.assign(src.biases().begin(), src.biases().end());
     const std::size_t total = L.dim * L.input_dim;
     wf[i].resize(total);
@@ -163,7 +177,9 @@ PackedModel PackedModel::freeze(const Network& net, Precision precision,
     for (std::size_t i = 0; i + 1 < num_layers; ++i) {
       const Layer& L = pm.layers_[i];
       out.resize(L.dim);
-      if (i == 0) {
+      if (i == 0 && L.feature_major) {
+        feature_major_forward(wf[i].data(), L.bias.data(), L.dim, x, out.data());
+      } else if (i == 0) {
         for (std::size_t n = 0; n < L.dim; ++n) {
           out[n] = kernels::sparse_dot_f32(x.indices, x.values, x.nnz,
                                            wf[i].data() + n * L.input_dim) +
@@ -191,28 +207,35 @@ PackedModel PackedModel::freeze(const Network& net, Precision precision,
           static_cast<std::int32_t>(std::lround(-r.lo / L.in_scale)), 0, 127);
     }  // degenerate (all-zero) input keeps the identity qparams {1.0, 0}
 
-    // Symmetric per-output-row weight quantization.
-    const std::size_t total = L.dim * L.input_dim;
-    L.w8.resize(total);
-    L.w_scale.resize(L.dim);
-    L.w_rowsum.resize(L.dim);
-    for (std::size_t n = 0; n < L.dim; ++n) {
-      const float* row = wf[i].data() + n * L.input_dim;
-      float amax = 0.0f;
-      for (std::size_t j = 0; j < L.input_dim; ++j) amax = std::max(amax, std::fabs(row[j]));
-      const float scale = amax > 0.0f ? amax / 127.0f : 1.0f;
-      L.w_scale[n] = scale;
-      const float inv = 1.0f / scale;
-      std::int8_t* q = L.w8.data() + n * L.input_dim;
-      std::int32_t rowsum = 0;
-      for (std::size_t j = 0; j < L.input_dim; ++j) {
-        const auto v = std::clamp<std::int32_t>(
-            static_cast<std::int32_t>(std::lrintf(row[j] * inv)), -127, 127);
-        q[j] = static_cast<std::int8_t>(v);
-        rowsum += v;
+    // Symmetric per-neuron weight quantization, swept in arena order: the
+    // neuron of element (r, c) is c in a feature-major arena, r otherwise.
+    const std::size_t rows = L.feature_major ? L.input_dim : L.dim;
+    const std::size_t width = L.feature_major ? L.dim : L.input_dim;
+    std::vector<float> amax(L.dim, 0.0f);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* row = wf[i].data() + r * width;
+      for (std::size_t c = 0; c < width; ++c) {
+        float& m = amax[L.feature_major ? c : r];
+        m = std::max(m, std::fabs(row[c]));
       }
-      L.w_rowsum[n] = rowsum;
     }
+    L.w_scale.resize(L.dim);
+    std::vector<float> inv(L.dim);
+    for (std::size_t n = 0; n < L.dim; ++n) {
+      L.w_scale[n] = amax[n] > 0.0f ? amax[n] / 127.0f : 1.0f;
+      inv[n] = 1.0f / L.w_scale[n];
+    }
+    L.w8.resize(rows * width);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* row = wf[i].data() + r * width;
+      std::int8_t* q = L.w8.data() + r * width;
+      for (std::size_t c = 0; c < width; ++c) {
+        q[c] = static_cast<std::int8_t>(std::clamp<std::int32_t>(
+            static_cast<std::int32_t>(std::lrintf(row[c] * inv[L.feature_major ? c : r])),
+            -127, 127));
+      }
+    }
+    derive_rowsums(L);
   }
   pm.rebuild_lsh();
   return pm;
@@ -344,22 +367,29 @@ void PackedModel::save(std::ostream& out) const {
     // Weights section and its CRC.  Int8 (v3) stores the quantized arena,
     // its per-row scales, and the layer's activation qparams under one
     // checksum; w_rowsum is derived, so it is recomputed on load instead.
+    // Arenas go out in file (neuron-major) order; the CRC covers those bytes.
+    const auto write_arena = [&](const auto& arena, auto& staged) {
+      const auto* bytes = io::to_file_order(arena.data(), L.dim, L.input_dim,
+                                            L.feature_major, staged);
+      io::write_array(out, bytes, arena.size());
+      return util::crc32c(bytes, arena.size() * sizeof(*bytes));
+    };
     std::uint32_t w_crc;
     if (precision_ == Precision::Bf16All) {
-      io::write_array(out, L.w16.data(), L.w16.size());
-      w_crc = util::crc32c(L.w16.data(), L.w16.size() * sizeof(bf16));
+      std::vector<bf16> staged;
+      w_crc = write_arena(L.w16, staged);
     } else if (precision_ == Precision::Int8) {
-      io::write_array(out, L.w8.data(), L.w8.size());
+      std::vector<std::int8_t> staged;
+      w_crc = write_arena(L.w8, staged);
       io::write_array(out, L.w_scale.data(), L.w_scale.size());
       io::write_pod(out, L.in_scale);
       io::write_pod(out, L.in_zero);
-      w_crc = util::crc32c(L.w8.data(), L.w8.size() * sizeof(std::int8_t));
       w_crc = util::crc32c(L.w_scale.data(), L.w_scale.size() * sizeof(float), w_crc);
       w_crc = util::crc32c(&L.in_scale, sizeof(L.in_scale), w_crc);
       w_crc = util::crc32c(&L.in_zero, sizeof(L.in_zero), w_crc);
     } else {
-      io::write_array(out, L.w.data(), L.w.size());
-      w_crc = util::crc32c(L.w.data(), L.w.size() * sizeof(float));
+      std::vector<float> staged;
+      w_crc = write_arena(L.w, staged);
     }
     io::write_pod(out, w_crc);
   }
@@ -421,6 +451,7 @@ PackedModel PackedModel::load(std::istream& in) {
       L.seed = io::read_pod<std::uint64_t>(in);
       L.input_dim = prev;
       L.dim = L.cfg.dim;
+      L.feature_major = weight_layout_for(i, L.cfg) == WeightLayout::FeatureMajor;
       if (L.dim == 0) {
         throw ModelIntegrityError("packed model: zero-width " + which);
       }
@@ -434,39 +465,35 @@ PackedModel PackedModel::load(std::istream& in) {
         check_section_crc(in, meta_crc, which + " metadata");
       }
 
+      // Arenas come in file (neuron-major) order; the CRC covers those bytes.
       const std::size_t total = L.dim * L.input_dim;
+      const auto read_arena = [&](auto& arena, auto& staged) {
+        arena.resize(total);
+        const auto* bytes = io::read_file_order(in, arena.data(), L.dim, L.input_dim,
+                                                L.feature_major, staged);
+        return util::crc32c(bytes, total * sizeof(*bytes));
+      };
       std::uint32_t w_crc;
       if (pm.precision_ == Precision::Bf16All) {
-        L.w16.resize(total);
-        io::read_array(in, L.w16.data(), total);
-        w_crc = util::crc32c(L.w16.data(), total * sizeof(bf16));
+        std::vector<bf16> staged;
+        w_crc = read_arena(L.w16, staged);
       } else if (pm.precision_ == Precision::Int8) {
-        L.w8.resize(total);
+        std::vector<std::int8_t> staged;
+        w_crc = read_arena(L.w8, staged);
         L.w_scale.resize(L.dim);
-        io::read_array(in, L.w8.data(), total);
         io::read_array(in, L.w_scale.data(), L.dim);
         L.in_scale = io::read_pod<float>(in);
         L.in_zero = io::read_pod<std::int32_t>(in);
-        w_crc = util::crc32c(L.w8.data(), total * sizeof(std::int8_t));
         w_crc = util::crc32c(L.w_scale.data(), L.dim * sizeof(float), w_crc);
         w_crc = util::crc32c(&L.in_scale, sizeof(L.in_scale), w_crc);
         w_crc = util::crc32c(&L.in_zero, sizeof(L.in_zero), w_crc);
       } else {
-        L.w.resize(total);
-        io::read_array(in, L.w.data(), total);
-        w_crc = util::crc32c(L.w.data(), total * sizeof(float));
+        std::vector<float> staged;
+        w_crc = read_arena(L.w, staged);
       }
       if (checked) check_section_crc(in, w_crc, which + " weights");
-      if (pm.precision_ == Precision::Int8) {
-        // Derived, not stored: the dense dot's zero-point correction term.
-        L.w_rowsum.resize(L.dim);
-        for (std::size_t n = 0; n < L.dim; ++n) {
-          std::int32_t rowsum = 0;
-          const std::int8_t* row = L.w8.data() + n * L.input_dim;
-          for (std::size_t j = 0; j < L.input_dim; ++j) rowsum += row[j];
-          L.w_rowsum[n] = rowsum;
-        }
-      }
+      // Derived, not stored: the dense dot's zero-point correction term.
+      if (pm.precision_ == Precision::Int8) derive_rowsums(L);
       pm.layers_.push_back(std::move(L));
     }
     pm.rebuild_lsh();

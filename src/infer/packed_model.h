@@ -2,10 +2,12 @@
 //
 // Training state (gradient arenas, ADAM moments, dirty flags, rebuild
 // schedules) roughly doubles a model's RSS and is dead weight at serving
-// time.  PackedModel keeps only what inference needs: one aligned row-major
-// weight arena per layer (fp32 or bf16), the biases, and — for LSH-sampled
-// layers — a frozen hash family plus tables built once from the final
-// weights.  Nothing in a PackedModel mutates after construction, so any
+// time.  PackedModel keeps only what inference needs: one aligned weight
+// arena per layer (fp32, bf16 or int8) in the trained layer's layout — a
+// dense layer 0 feature-major, every other layer neuron-major (see
+// core/layer.h) — the biases, and, for LSH-sampled layers, a frozen hash
+// family plus tables built once from the final weights.  Model files store
+// every arena neuron-major whatever its layout in memory.  Nothing in a PackedModel mutates after construction, so any
 // number of InferenceEngine threads can read it without synchronization.
 //
 // freeze() may also change precision: a model trained in fp32 can be packed
@@ -77,18 +79,20 @@ class PackedModel {
     std::uint64_t seed = 0;  // Layer's construction seed (LSH streams derive from it)
     LayerConfig cfg;
 
-    AlignedVector<float> w;    // dim x input_dim row-major (empty unless fp32 weights)
-    AlignedVector<bf16> w16;   // dim x input_dim row-major (empty unless bf16 weights)
+    bool feature_major = false;  // arenas hold input_dim rows of dim (else dim rows)
+
+    AlignedVector<float> w;    // dim x input_dim in layout order (empty unless fp32 weights)
+    AlignedVector<bf16> w16;   // dim x input_dim in layout order (empty unless bf16 weights)
     AlignedVector<float> bias;
 
     // Int8 payload (empty unless precision == Int8).  Weights are symmetric
-    // per-output-row: w_fp32[n][j] ~= w_scale[n] * w8[n][j].  Activations
+    // per output neuron: w_fp32(n, j) ~= w_scale[n] * w8(n, j).  Activations
     // feeding this layer quantize as u8 = clamp(round(x/in_scale)+in_zero,
-    // 0, 127); w_rowsum[n] = sum_j w8[n][j] backs the zero-point correction
+    // 0, 127); w_rowsum[n] = sum_j w8(n, j) backs the zero-point correction
     // for dense dots (derived, not serialized).
-    AlignedVector<std::int8_t> w8;       // dim x input_dim row-major
-    AlignedVector<float> w_scale;        // per output row, dim entries
-    AlignedVector<std::int32_t> w_rowsum;  // per output row, dim entries
+    AlignedVector<std::int8_t> w8;       // dim x input_dim in layout order
+    AlignedVector<float> w_scale;        // per output neuron, dim entries
+    AlignedVector<std::int32_t> w_rowsum;  // per output neuron, dim entries
     float in_scale = 1.0f;
     std::int32_t in_zero = 0;
 
@@ -97,6 +101,11 @@ class PackedModel {
 
     bool uses_hashing() const { return family != nullptr; }
     Activation activation() const { return cfg.activation; }
+    // Arena index of neuron n's weight on input j, in either layout.
+    std::size_t weight_index(std::uint32_t n, std::size_t j) const {
+      return feature_major ? j * dim + n : std::size_t{n} * input_dim + j;
+    }
+    // Neuron n's row of a neuron-major arena.
     const float* row_f32(std::uint32_t n) const {
       return w.data() + std::size_t{n} * input_dim;
     }

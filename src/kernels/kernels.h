@@ -20,6 +20,10 @@
 //                             accumulator.
 //   scatter_axpy_f32          Algorithm 2's store direction with sparse
 //                             destinations (weight-gradient scatter).
+//   sparse_axpy_rows_*        Algorithm 2 over a sparse input and a
+//                             feature-major W: out += sum_k x_k * W[idx_k],
+//                             with the output tile held in registers across
+//                             the whole feature sweep (input-layer forward).
 //   adam_step_*               Fig. 3: vectorized ADAM update over contiguous
 //                             weight/momentum/velocity/gradient rows.
 //   fp32_to_bf16 / bf16_to_fp32  Section 4.4 quantization (round-to-nearest-
@@ -63,6 +67,12 @@ struct KernelTable {
   void (*axpy_bf16)(float alpha, const bf16* x, float* y, std::size_t n);
   void (*scatter_axpy_f32)(float alpha, const std::uint32_t* idx, const float* val,
                            std::size_t nnz, float* w);
+  // out[j] += sum_k val[k] * w[idx[k]*ld + j] for j in [0, n): nnz rows of a
+  // feature-major arena, summed in k order per output lane.
+  void (*sparse_axpy_rows_f32)(const std::uint32_t* idx, const float* val, std::size_t nnz,
+                               const float* w, std::size_t ld, float* out, std::size_t n);
+  void (*sparse_axpy_rows_bf16)(const std::uint32_t* idx, const float* val, std::size_t nnz,
+                                const bf16* w, std::size_t ld, float* out, std::size_t n);
 
   void (*scale_f32)(float alpha, float* x, std::size_t n);
   void (*fill_f32)(float* x, std::size_t n, float value);
@@ -117,6 +127,13 @@ struct KernelTable {
   void (*dot_rows_u8s8)(const std::int8_t* w, std::size_t ld, const std::uint32_t* rows,
                         std::size_t nrows, const std::uint8_t* x, std::size_t n,
                         std::int32_t* out);
+  // Feature-major twin of sparse_dot_u8s8: for j in [0, n),
+  // dot[j] = sum_k val[k] * w[idx[k]*ld + j] and wsum[j] = sum_k w[idx[k]*ld + j]
+  // — per column j, exactly the integers sparse_dot_u8s8 returns for the
+  // neuron-major row j.
+  void (*sparse_axpy_rows_u8s8)(const std::uint32_t* idx, const std::uint8_t* val,
+                                std::size_t nnz, const std::int8_t* w, std::size_t ld,
+                                std::int32_t* dot, std::int32_t* wsum, std::size_t n);
   // dst[i] = clamp(nearbyint(src[i] * inv_scale) + zero_point, 0, 127).
   void (*quantize_u8)(const float* src, std::uint8_t* dst, std::size_t n, float inv_scale,
                       std::int32_t zero_point);
@@ -191,6 +208,14 @@ inline void axpy_bf16(float alpha, const bf16* x, float* y, std::size_t n) {
 inline void scatter_axpy_f32(float alpha, const std::uint32_t* idx, const float* val,
                              std::size_t nnz, float* w) {
   detail::active_table()->scatter_axpy_f32(alpha, idx, val, nnz, w);
+}
+inline void sparse_axpy_rows_f32(const std::uint32_t* idx, const float* val, std::size_t nnz,
+                                 const float* w, std::size_t ld, float* out, std::size_t n) {
+  detail::active_table()->sparse_axpy_rows_f32(idx, val, nnz, w, ld, out, n);
+}
+inline void sparse_axpy_rows_bf16(const std::uint32_t* idx, const float* val, std::size_t nnz,
+                                  const bf16* w, std::size_t ld, float* out, std::size_t n) {
+  detail::active_table()->sparse_axpy_rows_bf16(idx, val, nnz, w, ld, out, n);
 }
 inline void scale_f32(float alpha, float* x, std::size_t n) {
   detail::active_table()->scale_f32(alpha, x, n);
@@ -271,6 +296,11 @@ inline void dot_rows_u8s8(const std::int8_t* w, std::size_t ld, const std::uint3
                           std::size_t nrows, const std::uint8_t* x, std::size_t n,
                           std::int32_t* out) {
   detail::active_table()->dot_rows_u8s8(w, ld, rows, nrows, x, n, out);
+}
+inline void sparse_axpy_rows_u8s8(const std::uint32_t* idx, const std::uint8_t* val,
+                                  std::size_t nnz, const std::int8_t* w, std::size_t ld,
+                                  std::int32_t* dot, std::int32_t* wsum, std::size_t n) {
+  detail::active_table()->sparse_axpy_rows_u8s8(idx, val, nnz, w, ld, dot, wsum, n);
 }
 inline void quantize_u8(const float* src, std::uint8_t* dst, std::size_t n, float inv_scale,
                         std::int32_t zero_point) {

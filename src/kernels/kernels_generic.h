@@ -163,6 +163,53 @@ struct GenericKernels {
     for (; k < nnz; ++k) w[idx[k]] += alpha * val[k];
   }
 
+  // --- feature-major sparse products (Algorithm 2) ---------------------------
+  // Output tiles of four vectors stay in registers for the whole feature
+  // sweep: each of the nnz weight rows is streamed once, and the output is
+  // loaded and stored once per tile instead of once per feature.  Every
+  // output lane sums its terms in k order, at every width.
+
+  template <class T>
+  static void sparse_axpy_rows_any(const std::uint32_t* idx, const float* val, std::size_t nnz,
+                                   const T* w, std::size_t ld, float* out, std::size_t n) {
+    std::size_t j = 0;
+    for (; j + 4 * W <= n; j += 4 * W) {
+      vf a0 = S::loadu(out + j), a1 = S::loadu(out + j + W);
+      vf a2 = S::loadu(out + j + 2 * W), a3 = S::loadu(out + j + 3 * W);
+      for (std::size_t k = 0; k < nnz; ++k) {
+        const T* row = w + std::size_t{idx[k]} * ld + j;
+        const vf xv = S::set1(val[k]);
+        a0 = S::fmadd(xv, load_elems(row), a0);
+        a1 = S::fmadd(xv, load_elems(row + W), a1);
+        a2 = S::fmadd(xv, load_elems(row + 2 * W), a2);
+        a3 = S::fmadd(xv, load_elems(row + 3 * W), a3);
+      }
+      S::storeu(out + j, a0);
+      S::storeu(out + j + W, a1);
+      S::storeu(out + j + 2 * W, a2);
+      S::storeu(out + j + 3 * W, a3);
+    }
+    for (; j < n; j += W) {
+      const std::size_t rem = n - j < W ? n - j : W;
+      vf a = S::load_partial(out + j, rem);
+      for (std::size_t k = 0; k < nnz; ++k) {
+        a = S::fmadd(S::set1(val[k]),
+                     load_elems_partial(w + std::size_t{idx[k]} * ld + j, rem), a);
+      }
+      S::store_partial(out + j, rem, a);
+    }
+  }
+
+  static void sparse_axpy_rows_f32(const std::uint32_t* idx, const float* val, std::size_t nnz,
+                                   const float* w, std::size_t ld, float* out, std::size_t n) {
+    sparse_axpy_rows_any(idx, val, nnz, w, ld, out, n);
+  }
+  static void sparse_axpy_rows_bf16(const std::uint32_t* idx, const float* val,
+                                    std::size_t nnz, const bf16* w, std::size_t ld, float* out,
+                                    std::size_t n) {
+    sparse_axpy_rows_any(idx, val, nnz, w, ld, out, n);
+  }
+
   // --- elementwise -----------------------------------------------------------
 
   static void scale_f32(float alpha, float* x, std::size_t n) {
@@ -579,6 +626,45 @@ struct GenericKernels {
     }
   }
 
+  static void sparse_axpy_rows_u8s8(const std::uint32_t* idx, const std::uint8_t* val,
+                                    std::size_t nnz, const std::int8_t* w, std::size_t ld,
+                                    std::int32_t* dot, std::int32_t* wsum, std::size_t n) {
+    std::size_t j = 0;
+    if constexpr (W > 1) {
+      // Two-vector column tiles in registers: sign-extend W weights to i32,
+      // multiply by the broadcast activation byte, add.
+      for (; j + 2 * W <= n; j += 2 * W) {
+        vi d0 = S::zero_i32(), d1 = S::zero_i32(), s0 = S::zero_i32(), s1 = S::zero_i32();
+        for (std::size_t k = 0; k < nnz; ++k) {
+          const std::int8_t* row = w + std::size_t{idx[k]} * ld + j;
+          const vi xv = S::set1_i(val[k]);
+          const vi w0 = S::load_s8_i32(row);
+          const vi w1 = S::load_s8_i32(row + W);
+          d0 = S::add_i(d0, S::mullo_i32(w0, xv));
+          d1 = S::add_i(d1, S::mullo_i32(w1, xv));
+          s0 = S::add_i(s0, w0);
+          s1 = S::add_i(s1, w1);
+        }
+        S::storeu_i32(dot + j, d0);
+        S::storeu_i32(dot + j + W, d1);
+        S::storeu_i32(wsum + j, s0);
+        S::storeu_i32(wsum + j + W, s1);
+      }
+    }
+    // The remaining columns (all of them at W == 1) row by row; integer sums
+    // don't depend on the order.
+    if (j == n) return;
+    for (std::size_t c = j; c < n; ++c) dot[c] = wsum[c] = 0;
+    for (std::size_t k = 0; k < nnz; ++k) {
+      const std::int32_t x = val[k];
+      const std::int8_t* row = w + std::size_t{idx[k]} * ld;
+      for (std::size_t c = j; c < n; ++c) {
+        dot[c] += x * row[c];
+        wsum[c] += row[c];
+      }
+    }
+  }
+
   static std::uint8_t quantize_one_u8(float x, float inv_scale, std::int32_t zero_point) {
     float q = std::nearbyint(x * inv_scale) + static_cast<float>(zero_point);
     q = q < 0.0f ? 0.0f : (q > 127.0f ? 127.0f : q);
@@ -631,6 +717,8 @@ constexpr KernelTable make_kernel_table(const char* name) {
   t.axpy_f32 = &G::axpy_f32;
   t.axpy_bf16 = &G::axpy_bf16;
   t.scatter_axpy_f32 = &G::scatter_axpy_f32;
+  t.sparse_axpy_rows_f32 = &G::sparse_axpy_rows_f32;
+  t.sparse_axpy_rows_bf16 = &G::sparse_axpy_rows_bf16;
   t.scale_f32 = &G::scale_f32;
   t.fill_f32 = &G::fill_f32;
   t.relu_f32 = &G::relu_f32;
@@ -651,6 +739,7 @@ constexpr KernelTable make_kernel_table(const char* name) {
   t.dot_u8s8 = &G::dot_u8s8;
   t.sparse_dot_u8s8 = &G::sparse_dot_u8s8;
   t.dot_rows_u8s8 = &G::dot_rows_u8s8;
+  t.sparse_axpy_rows_u8s8 = &G::sparse_axpy_rows_u8s8;
   t.quantize_u8 = &G::quantize_u8;
   t.dequantize_u8 = &G::dequantize_u8;
   t.name = name;

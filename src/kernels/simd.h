@@ -36,7 +36,9 @@
 //   round_nearest/cvt_f2i/pow2  building blocks for the shared exp polynomial
 //   int8 (vector traits only) vb (byte vector, 4*W bytes), load_b, set1_b,
 //                             zero_i32, dpbusd(acc,a,b) += per-i32-lane sum of
-//                             four u8*s8 products, reduce_add_i32.  The scalar
+//                             four u8*s8 products, reduce_add_i32,
+//                             load_s8_i32 (W sign-extended bytes), mullo_i32,
+//                             storeu_i32.  The scalar
 //                             trait omits these: the generic quantized kernels
 //                             take a plain-loop branch at W == 1, which is the
 //                             parity reference.  vpmaddubsw-based backends
@@ -291,6 +293,13 @@ struct SimdAvx2 {
     lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, _MM_SHUFFLE(2, 3, 0, 1)));
     return _mm_cvtsi128_si32(lo);
   }
+  static vi load_s8_i32(const std::int8_t* p) {
+    return _mm256_cvtepi8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+  }
+  static vi mullo_i32(vi a, vi b) { return _mm256_mullo_epi32(a, b); }
+  static void storeu_i32(std::int32_t* p, vi v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
 };
 
 #endif  // __AVX2__ && __FMA__
@@ -415,6 +424,11 @@ struct SimdAvx512 {
     return _mm512_add_epi32(acc, quad32);
   }
   static std::int32_t reduce_add_i32(vi v) { return _mm512_reduce_add_epi32(v); }
+  static vi load_s8_i32(const std::int8_t* p) {
+    return _mm512_cvtepi8_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+  static vi mullo_i32(vi a, vi b) { return _mm512_mullo_epi32(a, b); }
+  static void storeu_i32(std::int32_t* p, vi v) { _mm512_storeu_si512(p, v); }
 };
 
 #endif  // AVX-512 F/BW/DQ/VL

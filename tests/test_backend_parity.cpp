@@ -148,6 +148,35 @@ TEST_P(BackendParityTest, ScatterAxpy) {
   }
 }
 
+TEST_P(BackendParityTest, SparseAxpyRows) {
+  Rng rng(106);
+  const std::size_t features = 200;
+  for (const std::size_t n : kSizes) {
+    for (const std::size_t nnz : {0u, 1u, 9u, 75u}) {
+      const auto w = random_vec(features * n, rng);
+      const auto idx = unique_indices(nnz, features, rng);
+      const auto val = random_vec(nnz, rng);
+      const auto out0 = random_vec(n, rng);
+      std::vector<bf16> w16(w.size());
+      ASSERT_TRUE(set_isa(Isa::Scalar));
+      fp32_to_bf16(w.data(), w16.data(), w.size());
+      auto ref_f = out0;
+      auto ref_b = out0;
+      sparse_axpy_rows_f32(idx.data(), val.data(), nnz, w.data(), n, ref_f.data(), n);
+      sparse_axpy_rows_bf16(idx.data(), val.data(), nnz, w16.data(), n, ref_b.data(), n);
+      ASSERT_TRUE(set_isa(GetParam()));
+      auto got_f = out0;
+      auto got_b = out0;
+      sparse_axpy_rows_f32(idx.data(), val.data(), nnz, w.data(), n, got_f.data(), n);
+      sparse_axpy_rows_bf16(idx.data(), val.data(), nnz, w16.data(), n, got_b.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_NEAR(got_f[i], ref_f[i], rel_tol(ref_f[i])) << "n=" << n << " nnz=" << nnz;
+        EXPECT_NEAR(got_b[i], ref_b[i], rel_tol(ref_b[i])) << "n=" << n << " nnz=" << nnz;
+      }
+    }
+  }
+}
+
 TEST_P(BackendParityTest, ElementwiseExact) {
   Rng rng(105);
   for (const std::size_t n : kSizes) {
@@ -404,6 +433,39 @@ TEST_P(BackendParityTest, DotRowsU8S8Exact) {
       dot_rows_u8s8(w.data(), n, nullptr, total_rows, x.data(), n, got_all.data());
       EXPECT_EQ(got, ref) << "n=" << n << " nrows=" << nrows;
       EXPECT_EQ(got_all, ref_all) << "n=" << n;
+    }
+  }
+}
+
+TEST_P(BackendParityTest, SparseAxpyRowsU8S8Exact) {
+  // Besides matching the scalar reference, every column of the
+  // feature-major sums must equal sparse_dot_u8s8 over that column read as
+  // a neuron-major row: the frozen engine relies on it for bit-exact int8.
+  Rng rng(117);
+  const std::size_t features = 200;
+  for (const std::size_t n : {1u, 7u, 8u, 16u, 17u, 32u, 33u, 128u, 131u}) {
+    for (const std::size_t nnz : {0u, 1u, 5u, 64u}) {
+      const auto w = random_s8(features * n, rng);
+      const auto idx = unique_indices(nnz, features, rng);
+      const auto val = random_u8(nnz, rng);
+      ASSERT_TRUE(set_isa(Isa::Scalar));
+      std::vector<std::int32_t> ref_dot(n, -1), ref_wsum(n, -1);
+      sparse_axpy_rows_u8s8(idx.data(), val.data(), nnz, w.data(), n, ref_dot.data(),
+                            ref_wsum.data(), n);
+      std::vector<std::int8_t> column(features);
+      for (std::size_t c = 0; c < n; ++c) {
+        for (std::size_t f = 0; f < features; ++f) column[f] = w[f * n + c];
+        std::int32_t dot = 0, wsum = 0;
+        sparse_dot_u8s8(idx.data(), val.data(), nnz, column.data(), &dot, &wsum);
+        ASSERT_EQ(ref_dot[c], dot) << "n=" << n << " nnz=" << nnz << " c=" << c;
+        ASSERT_EQ(ref_wsum[c], wsum) << "n=" << n << " nnz=" << nnz << " c=" << c;
+      }
+      ASSERT_TRUE(set_isa(GetParam()));
+      std::vector<std::int32_t> got_dot(n, -2), got_wsum(n, -2);
+      sparse_axpy_rows_u8s8(idx.data(), val.data(), nnz, w.data(), n, got_dot.data(),
+                            got_wsum.data(), n);
+      EXPECT_EQ(got_dot, ref_dot) << "n=" << n << " nnz=" << nnz;
+      EXPECT_EQ(got_wsum, ref_wsum) << "n=" << n << " nnz=" << nnz;
     }
   }
 }

@@ -7,6 +7,7 @@
 #include "core/network.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
+#include "threading/thread_pool.h"
 
 namespace slide {
 namespace {
@@ -104,6 +105,15 @@ TEST(DeepNetwork, PredictSeesAllNeuronsDespiteSparseTraining) {
 }
 
 TEST(DeepNetwork, TrainsOnSyntheticTask) {
+  // A 1-thread pool makes the run reproducible: on more threads HOGWILD
+  // scheduling moves P@1 by several points from run to run.
+  const unsigned ambient_threads = global_pool().size();
+  set_global_pool_threads(1);
+  struct RestorePool {
+    unsigned threads;
+    ~RestorePool() { set_global_pool_threads(threads); }
+  } restore{ambient_threads};
+
   data::SyntheticConfig dcfg;
   dcfg.feature_dim = 200;
   dcfg.label_dim = 50;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 namespace slide {
@@ -167,6 +168,160 @@ TEST(Layer, Bf16AllStoresWeightsAsBf16) {
     const float exact = ref.pre_activation_f32(n, x.data());
     EXPECT_NEAR(full, exact, std::abs(exact) * 0.02f + 0.02f);
   }
+}
+
+// --- feature-major layout -----------------------------------------------------
+
+TEST(Layer, InitIsTheSameInEitherLayoutAndOnAPool) {
+  // The second shape is large enough for the init to split over the pool.
+  ThreadPool pool(4);
+  for (const Precision p : {Precision::Fp32, Precision::Bf16All}) {
+    for (const auto& [in, dim] : {std::pair<std::size_t, std::size_t>{37, 19}, {600, 70}}) {
+      const Layer ref(in, dense_cfg(dim), p, 43);
+      const Layer fm(in, dense_cfg(dim), p, 43, WeightLayout::FeatureMajor);
+      const Layer nm_pool(in, dense_cfg(dim), p, 43, WeightLayout::NeuronMajor, &pool);
+      const Layer fm_pool(in, dense_cfg(dim), p, 43, WeightLayout::FeatureMajor, &pool);
+      EXPECT_TRUE(fm.feature_major());
+      for (std::uint32_t n = 0; n < dim; ++n) {
+        for (std::size_t j = 0; j < in; ++j) {
+          const float w = ref.weight(n, j);
+          ASSERT_EQ(fm.weight(n, j), w) << "n=" << n << " j=" << j;
+          ASSERT_EQ(nm_pool.weight(n, j), w) << "n=" << n << " j=" << j;
+          ASSERT_EQ(fm_pool.weight(n, j), w) << "n=" << n << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(Layer, FeatureMajorRejectsHashedLayers) {
+  EXPECT_THROW(Layer(32, hashed_cfg(64), Precision::Fp32, 1, WeightLayout::FeatureMajor),
+               std::invalid_argument);
+}
+
+TEST(Layer, FeatureMajorForwardMatchesNeuronMajorReference) {
+  // Widths around the vector tiles: partial vectors, whole vectors, tiles.
+  const std::uint32_t idx[] = {0, 3, 17, 18, 40, 63};
+  const float val[] = {1.5f, -2.0f, 0.25f, 3.0f, -0.75f, 1.0f};
+  for (const Precision p : {Precision::Fp32, Precision::Bf16All}) {
+    for (const std::size_t dim : {1u, 7u, 16u, 33u, 64u, 130u}) {
+      const Layer nm(64, dense_cfg(dim), p, 47);
+      const Layer fm(64, dense_cfg(dim), p, 47, WeightLayout::FeatureMajor);
+      std::vector<float> out(dim);
+      fm.pre_activation_all({idx, val, 6}, out.data());
+      for (std::uint32_t n = 0; n < dim; ++n) {
+        const float ref = nm.pre_activation(n, {idx, val, 6});
+        EXPECT_NEAR(out[n], ref, 1e-5f + std::abs(ref) * 1e-5f) << "dim=" << dim << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Layer, FeatureMajorGradientIsOuterProduct) {
+  Layer L(12, dense_cfg(20), Precision::Fp32, 53, WeightLayout::FeatureMajor);
+  const std::uint32_t idx[] = {2, 5, 11};
+  const float val[] = {0.5f, -1.25f, 3.0f};
+  std::vector<float> g(20);
+  for (std::size_t n = 0; n < 20; ++n) g[n] = 0.1f * static_cast<float>(n) - 0.7f;
+  L.accumulate_grad_input({idx, val, 3}, g.data());
+
+  const auto grads = L.weight_gradients();
+  for (std::uint32_t n = 0; n < 20; ++n) {
+    for (std::size_t j = 0; j < 12; ++j) {
+      float want = 0.0f;
+      for (int k = 0; k < 3; ++k) {
+        if (idx[k] == j) want = g[n] * val[k];
+      }
+      ASSERT_EQ(grads[L.weight_index(n, j)], want) << "n=" << n << " j=" << j;
+    }
+  }
+}
+
+// ADAM over a feature-major layer must update exactly what the neuron-major
+// layer updates: the dirty neurons' weights and moments, bit for bit, and
+// nothing of a clean neuron.
+TEST(Layer, FeatureMajorAdamMovesExactlyTheDirtyColumns) {
+  const std::size_t in = 9, dim = 40;
+  Layer nm(in, dense_cfg(dim), Precision::Fp32, 59);
+  Layer fm(in, dense_cfg(dim), Precision::Fp32, 59, WeightLayout::FeatureMajor);
+  const AdamConfig cfg;
+  // The same example into both layers: g[n] = 0 leaves neuron n clean.
+  const auto accumulate = [&](data::SparseVectorView x, const std::vector<float>& g) {
+    fm.accumulate_grad_input(x, g.data());
+    for (std::uint32_t n = 0; n < dim; ++n) {
+      if (g[n] != 0.0f) nm.accumulate_grad_sparse(n, g[n], x);
+    }
+  };
+  const auto expect_twins_equal = [&](const char* step) {
+    for (std::uint32_t n = 0; n < dim; ++n) {
+      for (std::size_t j = 0; j < in; ++j) {
+        ASSERT_EQ(fm.weight(n, j), nm.weight(n, j)) << step << " n=" << n << " j=" << j;
+        ASSERT_EQ(fm.moment1()[fm.weight_index(n, j)], nm.moment1()[nm.weight_index(n, j)]);
+        ASSERT_EQ(fm.moment2()[fm.weight_index(n, j)], nm.moment2()[nm.weight_index(n, j)]);
+      }
+      ASSERT_EQ(fm.biases()[n], nm.biases()[n]) << step << " n=" << n;
+    }
+  };
+
+  // Step 1, every neuron dirty.
+  const std::uint32_t idx1[] = {0, 4, 8};
+  const float val1[] = {1.0f, -0.5f, 2.0f};
+  std::vector<float> g1(dim);
+  for (std::size_t n = 0; n < dim; ++n) g1[n] = 0.05f * static_cast<float>(n + 1);
+  accumulate({idx1, val1, 3}, g1);
+  fm.adam_step(cfg, adam_bias_correction(cfg, 1), nullptr);
+  nm.adam_step(cfg, adam_bias_correction(cfg, 1), nullptr);
+  expect_twins_equal("all dirty");
+
+  // Step 2, a few runs of dirty neurons (isolated, adjacent, at both ends)
+  // on other features: dirty columns' moments decay everywhere, clean
+  // columns must not move at all.
+  const std::vector<float> w1(fm.weights_f32().begin(), fm.weights_f32().end());
+  const std::vector<float> m1(fm.moment1().begin(), fm.moment1().end());
+  const std::uint32_t idx2[] = {1, 4};
+  const float val2[] = {-1.5f, 0.75f};
+  std::vector<float> g2(dim, 0.0f);
+  for (const std::size_t n : {0u, 5u, 6u, 7u, 20u, 39u}) g2[n] = 0.3f;
+  accumulate({idx2, val2, 2}, g2);
+  fm.adam_step(cfg, adam_bias_correction(cfg, 2), nullptr);
+  nm.adam_step(cfg, adam_bias_correction(cfg, 2), nullptr);
+  expect_twins_equal("partly dirty");
+  for (std::uint32_t n = 0; n < dim; ++n) {
+    for (std::size_t j = 0; j < in; ++j) {
+      const std::size_t i = fm.weight_index(n, j);
+      if (g2[n] == 0.0f) {
+        EXPECT_EQ(fm.weights_f32()[i], w1[i]) << "clean n=" << n << " j=" << j;
+        EXPECT_EQ(fm.moment1()[i], m1[i]) << "clean n=" << n << " j=" << j;
+      } else if (m1[i] != 0.0f) {
+        EXPECT_NE(fm.moment1()[i], m1[i]) << "dirty n=" << n << " j=" << j;
+      }
+    }
+  }
+  for (const float g : fm.weight_gradients()) EXPECT_EQ(g, 0.0f);
+}
+
+TEST(Layer, FeatureMajorAdamOnPoolMatchesSerial) {
+  // Wide enough that the sweep splits over the pool.
+  ThreadPool pool(4);
+  Layer serial(3000, dense_cfg(24), Precision::Bf16All, 61, WeightLayout::FeatureMajor);
+  Layer pooled(3000, dense_cfg(24), Precision::Bf16All, 61, WeightLayout::FeatureMajor);
+  std::vector<std::uint32_t> idx;
+  std::vector<float> val;
+  for (std::uint32_t j = 0; j < 3000; j += 7) {
+    idx.push_back(j);
+    val.push_back(0.01f * static_cast<float>(j % 13) - 0.05f);
+  }
+  std::vector<float> g(24, 0.0f);
+  for (std::size_t n = 0; n < 24; n += 3) g[n] = 0.2f;
+  for (Layer* L : {&serial, &pooled}) {
+    L->accumulate_grad_input({idx.data(), val.data(), idx.size()}, g.data());
+  }
+  const AdamConfig cfg;
+  serial.adam_step(cfg, adam_bias_correction(cfg, 1), nullptr);
+  pooled.adam_step(cfg, adam_bias_correction(cfg, 1), &pool);
+  const auto a = serial.weights_bf16();
+  const auto b = pooled.weights_bf16();
+  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i].bits, b[i].bits) << i;
 }
 
 TEST(Layer, HashedLayerBuildsTables) {

@@ -32,7 +32,7 @@ TEST(Naive, InitializationMatchesOptimizedEngine) {
     ASSERT_EQ(ol.dim(), nl.dim());
     for (std::uint32_t n = 0; n < ol.dim(); ++n) {
       for (std::size_t j = 0; j < ol.input_dim(); ++j) {
-        ASSERT_EQ(ol.row_f32(n)[j], nl.neuron(n).w[j])
+        ASSERT_EQ(ol.weight(n, j), nl.neuron(n).w[j])
             << "layer " << li << " neuron " << n << " weight " << j;
       }
     }

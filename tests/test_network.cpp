@@ -44,6 +44,21 @@ TEST(Network, CountsParameters) {
   EXPECT_EQ(net.num_params(), 134u);
 }
 
+TEST(Network, DenseInputLayerIsFeatureMajor) {
+  const Network slide_net(tiny_slide());
+  EXPECT_TRUE(slide_net.layer(0).feature_major());
+  EXPECT_FALSE(slide_net.layer(1).feature_major());  // hashed: tables hash neuron rows
+  const Network dense_net(tiny_dense());
+  EXPECT_TRUE(dense_net.layer(0).feature_major());
+  EXPECT_FALSE(dense_net.layer(1).feature_major());  // dense, but fed by a dense layer
+
+  // A hashed input layer keeps its neuron rows.
+  NetworkConfig cfg = tiny_slide();
+  cfg.layers[0].lsh = cfg.layers[1].lsh;
+  const Network hashed_input(cfg);
+  EXPECT_FALSE(hashed_input.layer(0).feature_major());
+}
+
 TEST(Network, DenseForwardProducesProbabilityDistribution) {
   Network net(tiny_dense());
   Workspace ws = net.make_workspace();

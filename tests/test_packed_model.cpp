@@ -4,7 +4,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "data/synthetic.h"
 #include "infer/engine.h"
 #include "infer/packed_model.h"
+#include "util/crc32c.h"
 
 namespace slide {
 namespace {
@@ -163,17 +167,16 @@ TEST(PackedModel, FreezeInt8QuantizesWeightsAndShrinksArena) {
       std::int32_t sum = 0;
       std::int8_t amax = 0;
       for (std::size_t j = 0; j < L.input_dim; ++j) {
-        const std::int8_t v = L.row_i8(n)[j];
+        const std::int8_t v = L.w8[L.weight_index(static_cast<std::uint32_t>(n), j)];
         ASSERT_GE(v, -127);  // symmetric range never emits -128
         sum += v;
         amax = std::max<std::int8_t>(amax, std::int8_t(std::abs(int(v))));
       }
       EXPECT_EQ(sum, L.w_rowsum[n]) << "layer " << i << " row " << n;
       // Per-row symmetric absmax scaling saturates each non-zero row.
-      const auto src = net.layer(i).weights_f32();
       float wmax = 0.0f;
       for (std::size_t j = 0; j < L.input_dim; ++j) {
-        wmax = std::max(wmax, std::fabs(src[n * L.input_dim + j]));
+        wmax = std::max(wmax, std::fabs(net.layer(i).weight(static_cast<std::uint32_t>(n), j)));
       }
       if (wmax > 0.0f) EXPECT_EQ(amax, 127) << "layer " << i << " row " << n;
     }
@@ -611,6 +614,53 @@ TEST(PackedModel, LoadAcceptsVersion1FilesWithoutChecksums) {
   EXPECT_EQ(back.num_params(), pm.num_params());
   EXPECT_EQ(0, std::memcmp(back.layer(0).w.data(), pm.layer(0).w.data(),
                            pm.layer(0).w.size() * sizeof(float)));
+}
+
+TEST(PackedModel, CommittedModelFilesResaveByteForByte) {
+  // Written before layer 0 went feature-major: load transposes layer 0 into
+  // memory and save transposes it back, so every byte (and CRC) survives.
+  for (const char* name : {"tiny_fp32.sldp", "tiny_int8.sldp"}) {
+    const std::string path = std::string(SLIDE_TEST_FIXTURES) + "/" + name;
+    std::ifstream file(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(file),
+                            std::istreambuf_iterator<char>()};
+    ASSERT_FALSE(bytes.empty()) << path;
+    std::stringstream in(bytes);
+    const infer::PackedModel pm = infer::PackedModel::load(in);
+    ASSERT_TRUE(pm.layer(0).feature_major) << name;
+    std::stringstream out;
+    pm.save(out);
+    EXPECT_TRUE(out.str() == bytes) << "re-saved model differs from " << path;
+  }
+}
+
+TEST(PackedModel, LoadRejectsOutOfRangeLayerConfigBytes) {
+  const Network net = trained_network();
+  std::stringstream buffer;
+  infer::PackedModel::freeze(net).save(buffer);
+  const std::string bytes = buffer.str();
+  // Layer 0's metadata section: config record, seed, biases, then its CRC.
+  // Each case re-seals the CRC, so only the range check can refuse it.
+  const std::size_t meta = 4 + 4 + 17 + 4;
+  const std::size_t meta_bytes =
+      io::kLayerConfigWireBytes + 8 + net.layer(0).dim() * sizeof(float);
+  const struct {
+    std::size_t offset;  // within the config record
+    char value;
+  } cases[] = {{8, 3}, {9, 3}, {22, 2}, {55, 2}};  // activation, hash kind, policy, maintenance
+  for (const auto& c : cases) {
+    std::string mutated = bytes;
+    mutated[meta + c.offset] = c.value;
+    const std::uint32_t crc = util::crc32c(mutated.data() + meta, meta_bytes);
+    std::memcpy(mutated.data() + meta + meta_bytes, &crc, sizeof(crc));
+    std::stringstream in(mutated);
+    try {
+      infer::PackedModel::load(in);
+      ADD_FAILURE() << "accepted byte " << int(c.value) << " at config offset " << c.offset;
+    } catch (const infer::ModelIntegrityError& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(PackedModel, FileRoundTrip) {

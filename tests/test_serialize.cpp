@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
+
+#include "core/serialize_io.h"
 
 namespace slide {
 namespace {
@@ -160,6 +166,74 @@ TEST(Serialize, RejectsWrongVersion) {
   bytes[4] = 99;  // version field follows the 4-byte magic
   std::stringstream bad(bytes);
   EXPECT_THROW(load_network(bad), std::runtime_error);
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(Serialize, CommittedCheckpointResavesByteForByte) {
+  // Written before layer 0 went feature-major: loading transposes layer 0
+  // into memory and saving transposes it back, so the bytes must survive.
+  const std::string path = std::string(SLIDE_TEST_FIXTURES) + "/tiny_checkpoint.sldn";
+  const std::string bytes = read_bytes(path);
+  ASSERT_FALSE(bytes.empty()) << path;
+  std::stringstream in(bytes);
+  const Network net = load_network(in);
+  ASSERT_TRUE(net.layer(0).feature_major());
+  std::stringstream out;
+  save_network(net, out, /*include_moments=*/true);
+  EXPECT_TRUE(out.str() == bytes) << "re-saved checkpoint differs from " << path;
+}
+
+TEST(Serialize, CheckpointStoresLayerZeroNeuronMajor) {
+  const Network net(sample_config());
+  ASSERT_TRUE(net.layer(0).feature_major());
+  std::stringstream buffer;
+  save_network(net, buffer, false);
+  const std::string bytes = buffer.str();
+  // Header (41 bytes), two layer configs, the moments flag, then layer 0's
+  // weights as dim rows of input_dim.
+  const std::size_t at = 41 + 2 * io::kLayerConfigWireBytes + 1;
+  const Layer& L = net.layer(0);
+  for (std::uint32_t n = 0; n < L.dim(); ++n) {
+    for (std::size_t j = 0; j < L.input_dim(); ++j) {
+      float w;
+      std::memcpy(&w, bytes.data() + at + (n * L.input_dim() + j) * sizeof(float), sizeof(w));
+      ASSERT_EQ(w, L.weight(n, j)) << "n=" << n << " j=" << j;
+    }
+  }
+}
+
+TEST(Serialize, RejectsOutOfRangeEnumBytes) {
+  Network net(sample_config());
+  std::stringstream buffer;
+  save_network(net, buffer);
+  const std::string bytes = buffer.str();
+  // Offsets: the precision byte follows magic + version; layer 0's config
+  // record starts at 41 (activation +8, hash kind +9, bucket policy +22,
+  // maintenance +55).
+  const struct {
+    std::size_t offset;
+    char value;
+  } cases[] = {{8, 3},        // Int8: serving-only, never a training precision
+               {8, 9},        // no such precision
+               {41 + 8, 3},   // activation
+               {41 + 9, 3},   // hash kind
+               {41 + 22, 2},  // bucket policy
+               {41 + 55, 2}};  // maintenance
+  for (const auto& c : cases) {
+    std::string mutated = bytes;
+    mutated[c.offset] = c.value;
+    std::stringstream in(mutated);
+    try {
+      load_network(in);
+      ADD_FAILURE() << "accepted byte " << int(c.value) << " at offset " << c.offset;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(Serialize, FileRoundTrip) {
