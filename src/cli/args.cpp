@@ -235,4 +235,14 @@ bool apply_isa_flag(const ArgParser& args, std::string* error) {
   return true;
 }
 
+bool check_input_width(const std::string& path, std::size_t file_feature_dim,
+                       std::size_t model_input_dim, std::string* error) {
+  if (file_feature_dim <= model_input_dim) return true;
+  if (error != nullptr) {
+    *error = path + " declares " + std::to_string(file_feature_dim) +
+             " features but the model takes " + std::to_string(model_input_dim);
+  }
+  return false;
+}
+
 }  // namespace slide::cli

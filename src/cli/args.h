@@ -109,4 +109,11 @@ void add_isa_flag(ArgParser& args);
 // if given) only when the value is not a recognized ISA name.
 bool apply_isa_flag(const ArgParser& args, std::string* error);
 
+// An XC file may be narrower than the model it feeds, never wider: its
+// feature ids index the input layer's weight rows.  Returns false, filling
+// *error with a one-line message naming `path`, when the file's declared
+// `file_feature_dim` exceeds `model_input_dim`.
+bool check_input_width(const std::string& path, std::size_t file_feature_dim,
+                       std::size_t model_input_dim, std::string* error);
+
 }  // namespace slide::cli

@@ -1,0 +1,86 @@
+// The library's one inference forward pass: the Algorithm 1/2 dot products
+// (paper Sections 4.2-4.4) over every neuron, or over SLIDE's LSH-sampled
+// active sets.  Network::predict_topk (and through it the trainer's eval),
+// PackedModel's int8 calibration and InferenceEngine all run
+// inference_forward, so a frozen copy ranks exactly like the live network.
+// Training keeps its own pass (Network::forward), which forces labels into
+// the output layer's active set and normalizes with softmax.
+#pragma once
+
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <vector>
+
+#include "core/config.h"
+#include "data/sparse_batch.h"
+#include "lsh/hash_function.h"
+#include "lsh/lsh_table.h"
+#include "lsh/sampler.h"
+#include "util/aligned.h"
+#include "util/bf16.h"
+
+namespace slide {
+
+// Non-owning view of one layer's inference state.  slide::Layer::view() and
+// PackedModel::Layer::view() produce one; it stays valid while the layer
+// lives.  The pass reads the arena the model precision names: `w` at Fp32
+// and Bf16Activations, `w16` at Bf16All, `w8` plus the qparams at Int8.
+struct LayerView {
+  std::size_t input_dim = 0;
+  std::size_t dim = 0;
+  bool feature_major = false;  // arenas hold input_dim rows of dim (core/layer.h)
+  Activation activation = Activation::ReLU;
+  const float* w = nullptr;
+  const bf16* w16 = nullptr;
+  const std::int8_t* w8 = nullptr;
+  const float* bias = nullptr;
+  // Int8: w(n, j) ~= w_scale[n] * w8(n, j); this layer's input quantizes as
+  // u8 = round(x / in_scale) + in_zero; w_rowsum[n] = sum_j w8(n, j).
+  const float* w_scale = nullptr;
+  const std::int32_t* w_rowsum = nullptr;
+  float in_scale = 1.0f;
+  std::int32_t in_zero = 0;
+  // Hashed layers only (family == nullptr for a dense layer).
+  const lsh::HashFamily* family = nullptr;
+  const lsh::LshTables* tables = nullptr;
+  lsh::SamplerLimits limits;
+};
+
+// One layer's query state: the LSH-selected active set, the activations
+// (fp32 master plus the bf16/u8 mirrors the next layer reads), the
+// per-table bucket indices and the sampler's dedup scratch.
+struct LayerScratch {
+  std::vector<std::uint32_t> active;  // empty when every neuron was computed
+  AlignedVector<float> act;           // fp32 master activations
+  AlignedVector<bf16> act16;          // bf16 mirror (bf16 precisions)
+  AlignedVector<std::uint8_t> act8;   // u8 quantized mirror (Int8)
+  std::vector<std::uint32_t> buckets; // one bucket index per hash table
+  lsh::SamplerScratch sampler;
+
+  // Sizes the buckets and reserves the buffers for `layer`.
+  LayerScratch(std::uint64_t sampler_seed, const LayerView& layer);
+};
+
+// One query's scratch: a LayerScratch per layer plus the int8 path's
+// query-wide buffers.  The training Workspace extends it with gradient
+// buffers; the serving engine leases one per query.
+struct ForwardScratch {
+  std::vector<LayerScratch> layers;
+  AlignedVector<std::uint8_t> qin;     // Int8: the query's quantized values
+  AlignedVector<std::int32_t> acc32;   // Int8: raw i32 dot accumulators
+  AlignedVector<std::int32_t> wsum32;  // Int8: the input layer's zero-point weight sums
+};
+
+// Runs the first `depth` layers of `layers` on x at `precision`, leaving
+// layer i's activations in s.layers[i].act: full width over every neuron,
+// or, with `sampled`, compact over the neurons a hashed layer's frozen
+// tables select (s.layers[i].active).  The last layer's logits stay raw
+// (softmax is monotone, so rankings need no normalization); every other
+// layer applies its ReLU.  Returns false when a sampled layer's candidate
+// set came up empty; callers then rerun unsampled.
+bool inference_forward(std::span<const LayerView> layers, Precision precision,
+                       data::SparseVectorView x, bool sampled, ForwardScratch& s,
+                       std::size_t depth = std::numeric_limits<std::size_t>::max());
+
+}  // namespace slide

@@ -33,6 +33,7 @@
 
 #include "core/adam.h"
 #include "core/config.h"
+#include "core/inference.h"
 #include "data/sparse_batch.h"
 #include "kernels/kernels.h"
 #include "lsh/hash_function.h"
@@ -53,8 +54,8 @@ inline WeightLayout weight_layout_for(std::size_t position, const LayerConfig& c
 }
 
 // Forward pass of a feature-major layer over a sparse input:
-// out[n] = bias[n] + sum_k x_k * w[idx_k][n].  Training and the frozen
-// engine both call this, so their activations agree bit for bit.
+// out[n] = bias[n] + sum_k x_k * w[idx_k][n].  Training and the inference
+// pass both call this, so their activations agree bit for bit.
 inline void feature_major_forward(const float* w, const float* bias, std::size_t dim,
                                   data::SparseVectorView x, float* out) {
   std::copy(bias, bias + dim, out);
@@ -128,13 +129,6 @@ class Layer {
   float pre_activation_f32(std::uint32_t n, const float* prev_act) const {
     const std::size_t row = static_cast<std::size_t>(n) * input_dim_;
     return kernels::dot_f32(prev_act, w_.data() + row, input_dim_) + bias_[n];
-  }
-  float pre_activation_bf16(std::uint32_t n, const bf16* prev_act16) const {
-    const std::size_t row = static_cast<std::size_t>(n) * input_dim_;
-    if (precision_ == Precision::Bf16All) {
-      return kernels::dot_bf16_bf16(prev_act16, w16_.data() + row, input_dim_) + bias_[n];
-    }
-    return kernels::dot_bf16_f32(prev_act16, w_.data() + row, input_dim_) + bias_[n];
   }
   // Batched pre-activations for a dense previous layer: out[k] =
   // <row(rows[k]), prev> + bias (rows == nullptr means neurons 0..count-1).
@@ -221,6 +215,14 @@ class Layer {
   // Counts a finished batch; refreshes tables on SLIDE's growing schedule
   // using the configured maintenance strategy.  Returns true on a refresh.
   bool on_batch_end(ThreadPool* pool);
+
+  // This layer as the inference pass (core/inference.h) reads it.
+  LayerView view() const {
+    return {.input_dim = input_dim_, .dim = dim_, .feature_major = feature_major(),
+            .activation = cfg_.activation, .w = w_.data(), .w16 = w16_.data(),
+            .bias = bias_.data(), .family = family_.get(), .tables = tables_.get(),
+            .limits = {cfg_.lsh.min_active, cfg_.lsh.max_active}};
+  }
 
   const lsh::HashFamily* hash_family() const { return family_.get(); }
   const lsh::LshTables* tables() const { return tables_.get(); }

@@ -11,22 +11,10 @@ namespace slide {
 
 Workspace::Workspace(const Network& net, std::uint64_t seed) {
   layers.reserve(net.num_layers());
+  grads.resize(net.num_layers());
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    const Layer& L = net.layer(i);
-    LayerState st(mix64(seed, i, 0x5A3D1E5ull));
-    if (L.uses_hashing()) {
-      st.buckets.resize(L.hash_family()->num_tables());
-      const std::size_t hint =
-          std::min<std::size_t>(L.dim(), std::max<std::size_t>(L.config().lsh.min_active, 256));
-      st.active.reserve(hint);
-      st.act.reserve(hint);
-      st.grad.reserve(hint);
-    } else {
-      st.act.resize(L.dim());
-      st.grad.resize(L.dim());
-      if (net.precision() != Precision::Fp32) st.act16.resize(L.dim());
-    }
-    layers.push_back(std::move(st));
+    layers.emplace_back(mix64(seed, i, 0x5A3D1E5ull), net.layer(i).view());
+    grads[i].grad.reserve(layers[i].act.capacity());
   }
 }
 
@@ -152,44 +140,49 @@ void Network::backward(data::SparseVectorView x, std::span<const std::uint32_t> 
 
   // Softmax + cross-entropy output gradient: dL/dz = p - y.
   {
-    auto& ow = ws.layers[last];
+    const LayerScratch& ow = ws.layers[last];
+    AlignedVector<float>& og = ws.grads[last].grad;
     const std::size_t osize = ow.act.size();
-    ow.grad.resize(osize);
-    std::memcpy(ow.grad.data(), ow.act.data(), osize * sizeof(float));
+    og.resize(osize);
+    std::memcpy(og.data(), ow.act.data(), osize * sizeof(float));
     if (!labels.empty()) {
       const float y = 1.0f / static_cast<float>(labels.size());
       if (ow.active.empty()) {
-        for (const std::uint32_t l : labels) ow.grad[l] -= y;
+        for (const std::uint32_t l : labels) og[l] -= y;
       } else {
-        for (std::size_t k = 0; k < labels.size(); ++k) ow.grad[k] -= y;
+        for (std::size_t k = 0; k < labels.size(); ++k) og[k] -= y;
       }
     }
   }
 
   for (std::size_t i = last + 1; i-- > 0;) {
     Layer& L = layers_[i];
-    auto& lw = ws.layers[i];
+    const LayerScratch& lw = ws.layers[i];
+    Workspace::LayerGrads& lg = ws.grads[i];
 
-    Workspace::LayerState* pw = i > 0 ? &ws.layers[i - 1] : nullptr;
     const std::uint32_t* prev_ids = nullptr;
     const float* prev_act = nullptr;
+    float* prev_grad = nullptr;
     std::size_t prev_count = 0;
-    if (pw != nullptr) {
-      prev_count = pw->act.size();
-      prev_act = pw->act.data();
-      prev_ids = pw->active.empty() ? nullptr : pw->active.data();
-      pw->grad.resize(prev_count);
-      kernels::fill_f32(pw->grad.data(), prev_count, 0.0f);
-      lw.gather_scratch.resize(prev_count);
+    if (i > 0) {
+      const LayerScratch& pw = ws.layers[i - 1];
+      AlignedVector<float>& pg = ws.grads[i - 1].grad;
+      prev_count = pw.act.size();
+      prev_act = pw.act.data();
+      prev_ids = pw.active.empty() ? nullptr : pw.active.data();
+      pg.resize(prev_count);
+      kernels::fill_f32(pg.data(), prev_count, 0.0f);
+      prev_grad = pg.data();
+      lg.gather_scratch.resize(prev_count);
     }
 
     if (L.feature_major()) {
-      L.accumulate_grad_input(x, lw.grad.data());  // layer 0: nothing to propagate
+      L.accumulate_grad_input(x, lg.grad.data());  // layer 0: nothing to propagate
       continue;
     }
     const std::size_t count = lw.act.size();
     for (std::size_t k = 0; k < count; ++k) {
-      const float g = lw.grad[k];
+      const float g = lg.grad[k];
       if (g == 0.0f) continue;
       const std::uint32_t n =
           lw.active.empty() ? static_cast<std::uint32_t>(k) : lw.active[k];
@@ -197,18 +190,17 @@ void Network::backward(data::SparseVectorView x, std::span<const std::uint32_t> 
         L.accumulate_grad_sparse(n, g, x);
       } else if (prev_ids != nullptr) {
         L.accumulate_grad_sparse(n, g, {prev_ids, prev_act, prev_count});
-        L.backprop_to_sparse(n, g, prev_ids, prev_count, lw.gather_scratch.data(),
-                             pw->grad.data());
+        L.backprop_to_sparse(n, g, prev_ids, prev_count, lg.gather_scratch.data(), prev_grad);
       } else {
         L.accumulate_grad_dense(n, g, prev_act);
-        L.backprop_to_dense(n, g, pw->grad.data());
+        L.backprop_to_dense(n, g, prev_grad);
       }
     }
 
     // ReLU derivative for the layer we are about to process.
-    if (pw != nullptr && layers_[i - 1].activation() == Activation::ReLU) {
+    if (i > 0 && layers_[i - 1].activation() == Activation::ReLU) {
       for (std::size_t j = 0; j < prev_count; ++j) {
-        if (prev_act[j] <= 0.0f) pw->grad[j] = 0.0f;
+        if (prev_act[j] <= 0.0f) prev_grad[j] = 0.0f;
       }
     }
   }
@@ -230,57 +222,14 @@ void Network::rebuild_hash_tables(ThreadPool* pool) {
   for (auto& L : layers_) L.rebuild_tables(pool);
 }
 
-void Network::forward_dense_all(data::SparseVectorView x, Workspace& ws) const {
-  const bool bf16_act = cfg_.precision != Precision::Fp32;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const Layer& L = layers_[i];
-    auto& lw = ws.layers[i];
-    const std::size_t count = L.dim();
-    lw.active.clear();
-    lw.act.resize(count);
-    if (i == 0 && L.feature_major()) {
-      L.pre_activation_all(x, lw.act.data());
-    } else if (i == 0) {
-      for (std::size_t j = 0; j < count; ++j) {
-        lw.act[j] = L.pre_activation(static_cast<std::uint32_t>(j), x);
-      }
-    } else {
-      const auto& pw = ws.layers[i - 1];
-      L.pre_activation_rows(nullptr, count, pw.act.data(),
-                            bf16_act ? pw.act16.data() : nullptr, lw.act.data());
-    }
-    const bool output_layer = i + 1 == layers_.size();
-    if (!output_layer && L.activation() == Activation::ReLU) {
-      kernels::relu_f32(lw.act.data(), count);
-    }  // Linear hidden layers pass through
-    // Output logits stay raw: softmax is monotone, argmax/top-k need no
-    // normalization.
-    if (bf16_act && !output_layer) {
-      lw.act16.resize(count);
-      kernels::fp32_to_bf16(lw.act.data(), lw.act16.data(), count);
-    }
-  }
-}
-
-std::uint32_t Network::predict_top1(data::SparseVectorView x, Workspace& ws) const {
-  forward_dense_all(x, ws);
-  const auto& out = ws.layers.back().act;
-  return static_cast<std::uint32_t>(kernels::argmax_f32(out.data(), out.size()));
-}
-
 void Network::predict_topk(data::SparseVectorView x, std::size_t k, Workspace& ws,
                            std::vector<std::uint32_t>& out) const {
-  forward_dense_all(x, ws);
+  std::vector<LayerView> views;
+  views.reserve(layers_.size());
+  for (const Layer& L : layers_) views.push_back(L.view());
+  inference_forward(views, cfg_.precision, x, /*sampled=*/false, ws);
   const auto& logits = ws.layers.back().act;
   topk_indices(logits.data(), logits.size(), k, out);
-}
-
-std::uint32_t Network::predict_top1_sampled(data::SparseVectorView x, Workspace& ws) {
-  forward(x, {}, ws, /*train=*/false);
-  const auto& ow = ws.layers.back();
-  if (ow.active.empty()) return predict_top1(x, ws);  // degenerate: no candidates
-  const std::size_t best = kernels::argmax_f32(ow.act.data(), ow.act.size());
-  return ow.active[best];
 }
 
 }  // namespace slide

@@ -1,6 +1,12 @@
 // The SLIDE network: sparse-input MLP whose hashed layers compute only an
 // LSH-selected active set per example (paper Sections 2 and 4).
 //
+// Training runs its own sparse pass (forward/backward, which force the
+// labels into the output layer's active set); inference (predict_topk, and
+// with it the trainer's eval) runs the library's one inference pass,
+// inference_forward in core/inference.h, the same code a frozen
+// PackedModel serves through.
+//
 // Threading model: Network owns the shared state (weights, gradient arenas,
 // hash tables).  Each worker thread owns a Workspace and calls
 // forward()/backward() on its own examples concurrently (HOGWILD); the
@@ -12,29 +18,25 @@
 #include <span>
 #include <vector>
 
+#include "core/inference.h"
 #include "core/layer.h"
-#include "core/scratch.h"
-#include "lsh/sampler.h"
 
 namespace slide {
 
 class Network;
 
-// Per-thread buffers for one example's forward/backward pass.
-class Workspace {
+// Per-thread buffers for one example's forward/backward pass: the
+// inference pass's per-layer scratch (core/inference.h) plus the
+// gradient-side buffers training adds, one per layer.
+class Workspace : public ForwardScratch {
  public:
   Workspace(const Network& net, std::uint64_t seed);
 
-  // The query-side scratch (active set, activations, buckets, sampler) is the
-  // shared LayerScratch; training adds the gradient-side buffers.
-  struct LayerState : LayerScratch {
-    AlignedVector<float> grad;          // dL/d(pre-activation), same indexing as act
+  struct LayerGrads {
+    AlignedVector<float> grad;  // dL/d(pre-activation), same indexing as act
     AlignedVector<float> gather_scratch;
-
-    explicit LayerState(std::uint64_t sampler_seed) : LayerScratch(sampler_seed) {}
   };
-
-  std::vector<LayerState> layers;
+  std::vector<LayerGrads> grads;
 };
 
 class Network {
@@ -75,23 +77,16 @@ class Network {
   // Forces an immediate rebuild of all hash tables.
   void rebuild_hash_tables(ThreadPool* pool);
 
-  // Full (dense) inference: evaluates every output neuron.  Used for P@k.
-  std::uint32_t predict_top1(data::SparseVectorView x, Workspace& ws) const;
+  // Full (dense) inference through the shared pass (core/inference.h):
+  // evaluates every output neuron and fills `out` with the k best, best
+  // first.  The raw logits stay in ws.layers.back().act.  Used for P@k.
   void predict_topk(data::SparseVectorView x, std::size_t k, Workspace& ws,
                     std::vector<std::uint32_t>& out) const;
-
-  // LSH-sampled inference: queries the hash tables instead of scanning all
-  // output neurons (sublinear, slightly lossy).  Returns the highest-logit
-  // neuron among the sampled active set.
-  std::uint32_t predict_top1_sampled(data::SparseVectorView x, Workspace& ws);
 
   std::uint64_t adam_steps() const { return adam_t_; }
   void set_adam_steps(std::uint64_t t) { adam_t_ = t; }
 
  private:
-  // Shared by forward() and the dense predict path.
-  void forward_dense_all(data::SparseVectorView x, Workspace& ws) const;
-
   NetworkConfig cfg_;
   std::vector<Layer> layers_;
   std::uint64_t adam_t_ = 0;

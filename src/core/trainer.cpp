@@ -354,34 +354,6 @@ double Trainer::train_one_epoch(data::StreamingDataset& train_stream) {
   return seconds;
 }
 
-double Trainer::evaluate_p_at_1(const data::Dataset& test_set, std::size_t max_examples) {
-  ensure_workspaces();
-  ThreadPool& pool = global_pool();
-  const std::size_t n = max_examples == 0 ? test_set.size()
-                                          : std::min(test_set.size(), max_examples);
-  if (n == 0) return 0.0;
-
-  std::vector<CacheAligned<std::size_t>> hit_partials(pool.size());
-  pool.parallel_for_dynamic(n, 16, [&](unsigned rank, std::size_t lo, std::size_t hi) {
-    Workspace& ws = workspaces_[rank];
-    std::size_t hits = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::uint32_t top = net_.predict_top1(test_set.features(i), ws);
-      for (const std::uint32_t l : test_set.labels(i)) {
-        if (l == top) {
-          ++hits;
-          break;
-        }
-      }
-    }
-    hit_partials[rank].value += hits;
-  });
-
-  std::size_t hits = 0;
-  for (const auto& h : hit_partials) hits += h.value;
-  return static_cast<double>(hits) / static_cast<double>(n);
-}
-
 double Trainer::evaluate_p_at_k(const data::Dataset& test_set, std::size_t k,
                                 std::size_t max_examples) {
   ensure_workspaces();

@@ -94,12 +94,13 @@ class Trainer {
   // last_stream_stats().
   double train_one_epoch(data::StreamingDataset& train_stream);
 
-  // Mean P@1 over (up to max_examples of) the test set via full inference.
-  double evaluate_p_at_1(const data::Dataset& test_set, std::size_t max_examples = 0);
-
-  // Mean P@k (|top-k ∩ labels| / k, the extreme-classification convention).
+  // Mean P@k (|top-k ∩ labels| / k, the extreme-classification convention)
+  // over (up to max_examples of) the test set via Network::predict_topk.
   double evaluate_p_at_k(const data::Dataset& test_set, std::size_t k,
                          std::size_t max_examples = 0);
+  double evaluate_p_at_1(const data::Dataset& test_set, std::size_t max_examples = 0) {
+    return evaluate_p_at_k(test_set, 1, max_examples);
+  }
 
   double last_avg_loss() const { return last_avg_loss_; }
 

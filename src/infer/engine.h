@@ -1,15 +1,17 @@
 // Thread-safe, batched serving front end over a PackedModel.
 //
 // The engine owns a pool of per-query scratch buffers (activations, active
-// sets, sampler state — the shared LayerScratch of core/scratch.h).  Every
+// sets, sampler state: the ForwardScratch of core/inference.h).  Every
 // query leases one, so any number of caller threads can issue queries
 // concurrently against the same immutable model; the batch entry point fans
 // a whole query batch out over the thread pool with one lease per worker
 // chunk.
 //
-// Two ranking modes:
+// Both ranking modes run the library's one inference pass
+// (inference_forward), the code Network::predict_topk and the trainer's
+// eval run too:
 //   Dense    every output neuron is evaluated through the blocked
-//            dot_rows_* kernels — exact, and bit-identical to
+//            dot_rows_* kernels: exact, and bit-identical to
 //            Network::predict_topk on the same frozen weights.
 //   Sampled  the frozen LSH tables pick a candidate set first (SLIDE's
 //            sublinear inference); top-k is taken over the candidates only.
@@ -25,7 +27,7 @@
 #include <span>
 #include <vector>
 
-#include "core/scratch.h"
+#include "core/inference.h"
 #include "data/sparse_batch.h"
 #include "infer/packed_model.h"
 #include "threading/thread_pool.h"
@@ -51,7 +53,6 @@ class InferenceEngine {
   // receives the matching logits.
   void predict_topk(data::SparseVectorView x, std::size_t k, std::vector<std::uint32_t>& ids,
                     TopKMode mode = TopKMode::Dense, std::vector<float>* scores = nullptr);
-  std::uint32_t predict_top1(data::SparseVectorView x, TopKMode mode = TopKMode::Dense);
 
   // --- batched queries ----------------------------------------------------
   // Per-query completion hook for the batch path: invoked with the query's
@@ -73,12 +74,8 @@ class InferenceEngine {
                           const BatchCompletionFn& on_query_done = {});
 
  private:
-  struct Scratch {
-    std::vector<LayerScratch> layers;
+  struct Scratch : ForwardScratch {
     std::vector<std::uint32_t> topk;
-    AlignedVector<std::uint8_t> qin;     // int8 mode: quantized query values
-    AlignedVector<std::int32_t> acc32;   // int8 mode: raw i32 dot accumulators
-    AlignedVector<std::int32_t> wsum32;  // int8 mode: input layer's zero-point weight sums
   };
   // RAII lease: returns the scratch to the freelist on destruction.
   class Lease {
@@ -97,16 +94,17 @@ class InferenceEngine {
   std::unique_ptr<Scratch> acquire_scratch();
   void release_scratch(std::unique_ptr<Scratch> s);
 
-  // Runs the forward pass, leaving the output logits in the last layer's
-  // scratch (compact over `active` in sampled mode, full-width otherwise).
+  // Runs the inference pass, leaving the output logits in the last layer's
+  // scratch: compact over `active` in sampled mode, full-width otherwise.
+  // A sampled pass whose candidate set comes up empty in some layer (possible
+  // when min_active == 0 and every probed bucket is empty) falls back to the
+  // exact full-width pass.
   void forward(data::SparseVectorView x, TopKMode mode, Scratch& s);
-  // Returns false when a hashed layer's candidate set came up empty (the
-  // caller then falls back to the exact full-width pass).
-  bool forward_pass(data::SparseVectorView x, bool use_tables, Scratch& s);
   void emit_topk(Scratch& s, std::size_t k, std::vector<std::uint32_t>& ids,
                  std::vector<float>* scores);
 
   const PackedModel& model_;
+  std::vector<LayerView> views_;  // one per model layer
   std::uint64_t seed_;
   std::atomic<std::uint64_t> scratch_seq_{0};
   std::mutex mutex_;

@@ -44,6 +44,12 @@ PackedModel PackedModel::freeze(const Network& net, Precision precision) {
         "PackedModel::freeze: Precision::Int8 needs a calibration batch; use the "
         "freeze(net, precision, calibration, config) overload");
   }
+  PackedModel pm = pack(net, precision);
+  pm.rebuild_lsh();
+  return pm;
+}
+
+PackedModel PackedModel::pack(const Network& net, Precision precision) {
   PackedModel pm;
   pm.input_dim_ = net.input_dim();
   pm.precision_ = precision;
@@ -79,7 +85,6 @@ PackedModel PackedModel::freeze(const Network& net, Precision precision) {
     }
     pm.layers_.push_back(std::move(L));
   }
-  pm.rebuild_lsh();
   return pm;
 }
 
@@ -134,67 +139,33 @@ PackedModel PackedModel::freeze(const Network& net, Precision precision,
     throw std::invalid_argument("PackedModel::freeze: int8 calibration batch is empty");
   }
 
-  PackedModel pm;
-  pm.input_dim_ = net.input_dim();
+  // Calibrate and quantize from an fp32 copy of every arena (widening a
+  // bf16-trained net).
+  PackedModel pm = pack(net, Precision::Fp32);
   pm.precision_ = Precision::Int8;
-  const std::size_t num_layers = net.num_layers();
-  pm.layers_.reserve(num_layers);
+  const std::size_t num_layers = pm.num_layers();
 
-  // Stage an fp32 copy of every arena (widening a bf16-trained net): both
-  // the calibration forward and the quantizer read it.
-  std::vector<AlignedVector<float>> wf(num_layers);
-  for (std::size_t i = 0; i < num_layers; ++i) {
-    const slide::Layer& src = net.layer(i);
-    Layer L;
-    L.input_dim = src.input_dim();
-    L.dim = src.dim();
-    L.seed = src.seed();
-    L.cfg = src.config();
-    L.feature_major = src.feature_major();
-    L.bias.assign(src.biases().begin(), src.biases().end());
-    const std::size_t total = L.dim * L.input_dim;
-    wf[i].resize(total);
-    if (src.precision() == Precision::Bf16All) {
-      kernels::bf16_to_fp32(src.weights_bf16().data(), wf[i].data(), total);
-    } else {
-      std::copy(src.weights_f32().begin(), src.weights_f32().end(), wf[i].begin());
-    }
-    pm.layers_.push_back(std::move(L));
+  // Observe each layer's input distribution with the dense fp32 inference
+  // pass (no LSH sampling, so the ranges don't depend on table contents).
+  // Layer i+1's observations are layer i's post-activation outputs; layer 0
+  // sees the raw sparse feature values (its zeros are implicit, and
+  // choose_range always includes 0).  The last layer's output feeds nothing,
+  // so the pass stops one layer short.
+  std::vector<LayerView> views;
+  ForwardScratch scratch;
+  for (const Layer& L : pm.layers_) {
+    views.push_back(L.view());
+    scratch.layers.emplace_back(0, views.back());
   }
-
-  // Observe each layer's input distribution with a dense fp32 forward over
-  // the calibration batch (no LSH sampling, so the ranges don't depend on
-  // table contents).  Layer i+1's observations are layer i's post-activation
-  // outputs; layer 0 sees the raw sparse feature values (its zeros are
-  // implicit, and choose_range always includes 0).  The last layer's output
-  // feeds nothing, so the forward stops one layer short.
   std::vector<std::vector<float>> observed(num_layers);
   const std::size_t n_samples = std::min(cal.max_samples, calibration.size());
-  AlignedVector<float> cur, out;
   for (std::size_t s = 0; s < n_samples; ++s) {
     const data::SparseVectorView x = calibration[s];
     observed[0].insert(observed[0].end(), x.values, x.values + x.nnz);
+    inference_forward(views, Precision::Fp32, x, /*sampled=*/false, scratch, num_layers - 1);
     for (std::size_t i = 0; i + 1 < num_layers; ++i) {
-      const Layer& L = pm.layers_[i];
-      out.resize(L.dim);
-      if (i == 0 && L.feature_major) {
-        feature_major_forward(wf[i].data(), L.bias.data(), L.dim, x, out.data());
-      } else if (i == 0) {
-        for (std::size_t n = 0; n < L.dim; ++n) {
-          out[n] = kernels::sparse_dot_f32(x.indices, x.values, x.nnz,
-                                           wf[i].data() + n * L.input_dim) +
-                   L.bias[n];
-        }
-      } else {
-        kernels::dot_rows_f32(wf[i].data(), L.input_dim, nullptr, L.dim, cur.data(),
-                              L.input_dim, out.data());
-        for (std::size_t n = 0; n < L.dim; ++n) out[n] += L.bias[n];
-      }
-      // Matches the engine's rule: ReLU clamps every non-output layer,
-      // Linear/Softmax hidden outputs pass through raw.
-      if (L.cfg.activation == Activation::ReLU) kernels::relu_f32(out.data(), L.dim);
+      const AlignedVector<float>& out = scratch.layers[i].act;
       observed[i + 1].insert(observed[i + 1].end(), out.begin(), out.end());
-      std::swap(cur, out);
     }
   }
 
@@ -213,7 +184,7 @@ PackedModel PackedModel::freeze(const Network& net, Precision precision,
     const std::size_t width = L.feature_major ? L.dim : L.input_dim;
     std::vector<float> amax(L.dim, 0.0f);
     for (std::size_t r = 0; r < rows; ++r) {
-      const float* row = wf[i].data() + r * width;
+      const float* row = L.w.data() + r * width;
       for (std::size_t c = 0; c < width; ++c) {
         float& m = amax[L.feature_major ? c : r];
         m = std::max(m, std::fabs(row[c]));
@@ -227,7 +198,7 @@ PackedModel PackedModel::freeze(const Network& net, Precision precision,
     }
     L.w8.resize(rows * width);
     for (std::size_t r = 0; r < rows; ++r) {
-      const float* row = wf[i].data() + r * width;
+      const float* row = L.w.data() + r * width;
       std::int8_t* q = L.w8.data() + r * width;
       for (std::size_t c = 0; c < width; ++c) {
         q[c] = static_cast<std::int8_t>(std::clamp<std::int32_t>(
@@ -236,6 +207,7 @@ PackedModel PackedModel::freeze(const Network& net, Precision precision,
       }
     }
     derive_rowsums(L);
+    AlignedVector<float>().swap(L.w);  // the fp32 copy is not served
   }
   pm.rebuild_lsh();
   return pm;
@@ -260,25 +232,23 @@ void PackedModel::rebuild_lsh() {
     const auto hash_range = [&](std::size_t begin, std::size_t end) {
       thread_local std::vector<float> widened;
       for (std::size_t n = begin; n < end; ++n) {
+        const std::size_t row = n * L.input_dim;  // hashed layers are neuron-major
         if (bf16_w) {
           widened.resize(L.input_dim);
-          kernels::bf16_to_fp32(L.row_bf16(static_cast<std::uint32_t>(n)), widened.data(),
-                                L.input_dim);
+          kernels::bf16_to_fp32(L.w16.data() + row, widened.data(), L.input_dim);
           L.family->hash_dense(widened.data(), buckets.data() + n * num_tables);
         } else if (int8_w) {
           // Hash the dequantized row, not the pre-quantization fp32: the
           // tables must be a pure function of what the file stores so that
           // freeze-time and load-time rebuilds agree bucket for bucket.
           widened.resize(L.input_dim);
-          const std::int8_t* row = L.row_i8(static_cast<std::uint32_t>(n));
           const float sc = L.w_scale[n];
           for (std::size_t j = 0; j < L.input_dim; ++j) {
-            widened[j] = sc * static_cast<float>(row[j]);
+            widened[j] = sc * static_cast<float>(L.w8[row + j]);
           }
           L.family->hash_dense(widened.data(), buckets.data() + n * num_tables);
         } else {
-          L.family->hash_dense(L.row_f32(static_cast<std::uint32_t>(n)),
-                               buckets.data() + n * num_tables);
+          L.family->hash_dense(L.w.data() + row, buckets.data() + n * num_tables);
         }
       }
     };

@@ -3,18 +3,22 @@
 // Training state (gradient arenas, ADAM moments, dirty flags, rebuild
 // schedules) roughly doubles a model's RSS and is dead weight at serving
 // time.  PackedModel keeps only what inference needs: one aligned weight
-// arena per layer (fp32, bf16 or int8) in the trained layer's layout — a
-// dense layer 0 feature-major, every other layer neuron-major (see
-// core/layer.h) — the biases, and, for LSH-sampled layers, a frozen hash
+// arena per layer (fp32, bf16 or int8) in the trained layer's layout (a
+// dense layer 0 feature-major, every other layer neuron-major; see
+// core/layer.h), the biases, and, for LSH-sampled layers, a frozen hash
 // family plus tables built once from the final weights.  Model files store
-// every arena neuron-major whatever its layout in memory.  Nothing in a PackedModel mutates after construction, so any
-// number of InferenceEngine threads can read it without synchronization.
+// every arena neuron-major whatever its layout in memory.
+//
+// Nothing in a PackedModel mutates after construction, so any number of
+// InferenceEngine threads can read it without synchronization.  Each layer
+// hands the shared inference pass (core/inference.h) a LayerView, the same
+// kind of view a live Network's layers give it.
 //
 // freeze() may also change precision: a model trained in fp32 can be packed
 // to bf16 weights (paper Section 4.4), halving the serving arena again at a
 // small accuracy cost, or quantized to int8 (symmetric per-output-row weight
-// scales, per-layer activation scale/zero-point calibrated from a sample
-// batch), quartering it.
+// scales, per-layer activation scale/zero-point calibrated by running the
+// inference pass over a sample batch), quartering it.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +30,7 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/inference.h"
 #include "core/network.h"
 #include "data/sparse_batch.h"
 #include "lsh/hash_function.h"
@@ -100,20 +105,18 @@ class PackedModel {
     std::unique_ptr<lsh::LshTables> tables;
 
     bool uses_hashing() const { return family != nullptr; }
-    Activation activation() const { return cfg.activation; }
     // Arena index of neuron n's weight on input j, in either layout.
     std::size_t weight_index(std::uint32_t n, std::size_t j) const {
       return feature_major ? j * dim + n : std::size_t{n} * input_dim + j;
     }
-    // Neuron n's row of a neuron-major arena.
-    const float* row_f32(std::uint32_t n) const {
-      return w.data() + std::size_t{n} * input_dim;
-    }
-    const bf16* row_bf16(std::uint32_t n) const {
-      return w16.data() + std::size_t{n} * input_dim;
-    }
-    const std::int8_t* row_i8(std::uint32_t n) const {
-      return w8.data() + std::size_t{n} * input_dim;
+    // This layer as the inference pass reads it.
+    LayerView view() const {
+      return {.input_dim = input_dim, .dim = dim, .feature_major = feature_major,
+              .activation = cfg.activation, .w = w.data(), .w16 = w16.data(),
+              .w8 = w8.data(), .bias = bias.data(), .w_scale = w_scale.data(),
+              .w_rowsum = w_rowsum.data(), .in_scale = in_scale, .in_zero = in_zero,
+              .family = family.get(), .tables = tables.get(),
+              .limits = {cfg.lsh.min_active, cfg.lsh.max_active}};
     }
     // Bytes held by the weight/bias arenas (the serving working set).
     std::size_t arena_bytes() const {
@@ -134,10 +137,11 @@ class PackedModel {
   // std::invalid_argument for it.
   static PackedModel freeze(const Network& net);
   static PackedModel freeze(const Network& net, Precision precision);
-  // Int8-capable freeze: `calibration` supplies sample inputs whose fp32
-  // forward pass sets each layer's activation scale/zero-point (at most
-  // cal.max_samples examples are consumed; the batch must be non-empty when
-  // precision == Int8, and is ignored otherwise).
+  // Int8-capable freeze: `calibration` supplies sample inputs whose dense
+  // fp32 inference pass, stopped before the output layer, sets each layer's
+  // activation scale/zero-point (at most cal.max_samples examples are
+  // consumed; the batch must be non-empty when precision == Int8, and is
+  // ignored otherwise).
   static PackedModel freeze(const Network& net, Precision precision,
                             std::span<const data::SparseVectorView> calibration,
                             const CalibrationConfig& cal = {});
@@ -165,6 +169,8 @@ class PackedModel {
 
  private:
   PackedModel() = default;
+  // `net`'s layers converted to a float `precision`, without LSH tables.
+  static PackedModel pack(const Network& net, Precision precision);
   // Builds family+tables for every hashed layer from the packed weights.
   void rebuild_lsh();
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "pool_guard.h"
 
 namespace slide::baseline {
 namespace {
@@ -16,6 +17,7 @@ TEST(Baseline, DenseMlpHasNoHashedLayers) {
 }
 
 TEST(Baseline, ConvergesOnSyntheticTask) {
+  const ScopedPoolThreads one_thread(1);
   data::SyntheticConfig dcfg;
   dcfg.feature_dim = 300;
   dcfg.label_dim = 60;

@@ -242,5 +242,20 @@ TEST(IsaFlag, UnavailableBackendFallsBackWithoutError) {
   kernels::set_isa(ambient);
 }
 
+TEST(InputWidth, AcceptsNarrowerOrEqualAndRejectsWiderFiles) {
+  std::string error;
+  EXPECT_TRUE(check_input_width("narrow.txt", 10, 24, &error));
+  EXPECT_TRUE(check_input_width("same.txt", 24, 24, &error));
+  EXPECT_TRUE(error.empty());
+  EXPECT_TRUE(check_input_width("any.txt", 24, 24, nullptr));
+
+  EXPECT_FALSE(check_input_width("wide.txt", 5000000, 24, &error));
+  EXPECT_NE(error.find("wide.txt"), std::string::npos) << error;
+  EXPECT_NE(error.find("5000000"), std::string::npos) << error;
+  EXPECT_NE(error.find("24"), std::string::npos) << error;
+  EXPECT_EQ(error.find('\n'), std::string::npos) << "one line: " << error;
+  EXPECT_FALSE(check_input_width("wide.txt", 25, 24, nullptr));
+}
+
 }  // namespace
 }  // namespace slide::cli

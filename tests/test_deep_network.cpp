@@ -7,7 +7,7 @@
 #include "core/network.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
-#include "threading/thread_pool.h"
+#include "pool_guard.h"
 
 namespace slide {
 namespace {
@@ -99,20 +99,16 @@ TEST(DeepNetwork, GradientsMatchFiniteDifferencesThroughSparseMiddle) {
 TEST(DeepNetwork, PredictSeesAllNeuronsDespiteSparseTraining) {
   Network net(deep_config(24, 50, false));
   Workspace ws = net.make_workspace();
-  const std::uint32_t top = net.predict_top1(sample_input(), ws);
-  EXPECT_LT(top, 50u);
+  std::vector<std::uint32_t> top;
+  net.predict_topk(sample_input(), 1, ws, top);
+  EXPECT_LT(top[0], 50u);
   EXPECT_EQ(ws.layers[1].act.size(), 64u);  // dense eval through middle layer
 }
 
 TEST(DeepNetwork, TrainsOnSyntheticTask) {
   // A 1-thread pool makes the run reproducible: on more threads HOGWILD
   // scheduling moves P@1 by several points from run to run.
-  const unsigned ambient_threads = global_pool().size();
-  set_global_pool_threads(1);
-  struct RestorePool {
-    unsigned threads;
-    ~RestorePool() { set_global_pool_threads(threads); }
-  } restore{ambient_threads};
+  const ScopedPoolThreads one_thread(1);
 
   data::SyntheticConfig dcfg;
   dcfg.feature_dim = 200;

@@ -10,6 +10,7 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "lsh/lsh_table.h"
+#include "pool_guard.h"
 
 namespace slide {
 namespace {
@@ -116,6 +117,7 @@ TEST(IncrementalLsh, UntouchedNeuronsAreNotRehashed) {
 }
 
 TEST(IncrementalLsh, TrainingConvergesWithIncrementalMaintenance) {
+  const ScopedPoolThreads one_thread(1);
   data::SyntheticConfig dcfg;
   dcfg.feature_dim = 300;
   dcfg.label_dim = 80;

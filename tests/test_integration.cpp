@@ -11,6 +11,7 @@
 #include "data/text_corpus.h"
 #include "kernels/kernels.h"
 #include "naive/naive_trainer.h"
+#include "pool_guard.h"
 
 namespace slide {
 namespace {
@@ -52,6 +53,7 @@ TrainerConfig task_trainer() {
 }
 
 TEST(Integration, AllThreeEnginesReachSimilarAccuracy) {
+  const ScopedPoolThreads one_thread(1);
   const Task task = make_task();
   const TrainerConfig tcfg = task_trainer();
 
@@ -100,6 +102,7 @@ TEST(Integration, SlideTouchesFarFewerOutputNeuronsThanDense) {
 }
 
 TEST(Integration, Bf16ModesTrainToComparableAccuracy) {
+  const ScopedPoolThreads one_thread(1);
   const Task task = make_task();
   const TrainerConfig tcfg = task_trainer();
   double p[3];
@@ -119,6 +122,7 @@ TEST(Integration, Bf16ModesTrainToComparableAccuracy) {
 }
 
 TEST(Integration, TrainingConvergesOnEveryBackend) {
+  const ScopedPoolThreads one_thread(1);
   const Task task = make_task();
   TrainerConfig tcfg = task_trainer();
   tcfg.epochs = 3;
@@ -137,7 +141,7 @@ TEST(Integration, TrainingConvergesOnEveryBackend) {
 
 TEST(Integration, CoalescedAndFragmentedLayoutsGiveSameResults) {
   // Memory layout is a performance knob, never a semantics knob.
-  set_global_pool_threads(1);  // exact reproducibility
+  const ScopedPoolThreads one_thread(1);  // exact reproducibility
   const Task task = make_task();
   const data::Dataset frag = task.train.with_layout(data::Layout::Fragmented);
 
@@ -152,11 +156,10 @@ TEST(Integration, CoalescedAndFragmentedLayoutsGiveSameResults) {
                               net.layer(0).weights_f32().end());
   };
   EXPECT_EQ(run(task.train), run(frag));
-  set_global_pool_threads(ThreadPool::default_thread_count());
 }
 
 TEST(Integration, TrainCheckpointResumeMatchesContinuousTraining) {
-  set_global_pool_threads(1);
+  const ScopedPoolThreads one_thread(1);
   const Task task = make_task();
   TrainerConfig tcfg = task_trainer();
   tcfg.epochs = 1;
@@ -190,15 +193,17 @@ TEST(Integration, TrainCheckpointResumeMatchesContinuousTraining) {
   Workspace wr = resumed.make_workspace();
   std::size_t agree = 0;
   const std::size_t probes = 100;
+  std::vector<std::uint32_t> tc, tr;
   for (std::size_t i = 0; i < probes; ++i) {
-    agree += continuous.predict_top1(task.test.features(i), wc) ==
-             resumed.predict_top1(task.test.features(i), wr);
+    continuous.predict_topk(task.test.features(i), 1, wc, tc);
+    resumed.predict_topk(task.test.features(i), 1, wr, tr);
+    agree += tc == tr;
   }
   EXPECT_GT(agree, probes / 2);
-  set_global_pool_threads(ThreadPool::default_thread_count());
 }
 
 TEST(Integration, SkipgramWorkloadTrainsEndToEnd) {
+  const ScopedPoolThreads one_thread(1);
   data::CorpusConfig ccfg;
   ccfg.vocab_size = 300;
   ccfg.num_tokens = 6000;
@@ -226,6 +231,7 @@ TEST(Integration, SkipgramWorkloadTrainsEndToEnd) {
 }
 
 TEST(Integration, XcFileToTrainingPipeline) {
+  const ScopedPoolThreads one_thread(1);
   // Dataset -> XC file -> reader -> trainer: the full user path.
   const Task task = make_task();
   std::stringstream file;

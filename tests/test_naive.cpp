@@ -7,6 +7,7 @@
 #include "core/network.h"
 #include "data/synthetic.h"
 #include "naive/naive_trainer.h"
+#include "pool_guard.h"
 
 namespace slide {
 namespace {
@@ -48,7 +49,9 @@ TEST(Naive, PredictionsMatchOptimizedEngineAtInit) {
   const std::uint32_t idx[] = {3, 17, 42};
   const float val[] = {1.0f, -0.5f, 2.0f};
   const data::SparseVectorView x{idx, val, 3};
-  EXPECT_EQ(opt.predict_top1(x, ws), naive_net.predict_top1(x));
+  std::vector<std::uint32_t> top;
+  opt.predict_topk(x, 1, ws, top);
+  EXPECT_EQ(top[0], naive_net.predict_top1(x));
 }
 
 TEST(Naive, TrainExampleReturnsFiniteLossAndAccumulates) {
@@ -83,6 +86,7 @@ TEST(Naive, RepeatedTrainingFitsOneExample) {
 }
 
 TEST(Naive, TrainerConvergesOnSyntheticTask) {
+  const ScopedPoolThreads one_thread(1);
   data::SyntheticConfig dcfg;
   dcfg.feature_dim = 300;
   dcfg.label_dim = 80;

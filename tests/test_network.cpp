@@ -171,10 +171,11 @@ TEST(Network, PredictTop1IsArgmaxOfFullForward) {
   Workspace ws = net.make_workspace();
   const std::vector<std::uint32_t> idx = {2, 6};
   const std::vector<float> val = {1.0f, 1.0f};
-  const std::uint32_t top = net.predict_top1(view(idx, val), ws);
+  std::vector<std::uint32_t> top;
+  net.predict_topk(view(idx, val), 1, ws, top);
   const auto& logits = ws.layers.back().act;
   for (std::size_t j = 0; j < logits.size(); ++j) {
-    EXPECT_LE(logits[j], logits[top]);
+    EXPECT_LE(logits[j], logits[top[0]]);
   }
 }
 
@@ -190,16 +191,9 @@ TEST(Network, PredictTopkOrdering) {
   for (std::size_t i = 1; i < top.size(); ++i) {
     EXPECT_GE(logits[top[i - 1]], logits[top[i]]);
   }
-  EXPECT_EQ(top[0], net.predict_top1(view(idx, val), ws));
-}
-
-TEST(Network, SampledPredictReturnsValidNeuron) {
-  Network net(tiny_slide());
-  Workspace ws = net.make_workspace();
-  const std::vector<std::uint32_t> idx = {3};
-  const std::vector<float> val = {1.0f};
-  const std::uint32_t p = net.predict_top1_sampled(view(idx, val), ws);
-  EXPECT_LT(p, net.output_dim());
+  std::vector<std::uint32_t> top1;
+  net.predict_topk(view(idx, val), 1, ws, top1);
+  EXPECT_EQ(top[0], top1[0]);
 }
 
 TEST(Network, TrainingStepReducesLossOnOneExample) {
@@ -235,7 +229,9 @@ TEST(Network, AllPrecisionModesRunForwardBackward) {
     EXPECT_TRUE(std::isfinite(loss));
     net.backward(view(idx, val), labels, ws);
     net.adam_step({}, nullptr);
-    EXPECT_LT(net.predict_top1(view(idx, val), ws), net.output_dim());
+    std::vector<std::uint32_t> top;
+    net.predict_topk(view(idx, val), 1, ws, top);
+    EXPECT_LT(top[0], net.output_dim());
   }
 }
 
@@ -285,7 +281,9 @@ TEST(Network, HogwildTrainingConvergesWithThreads) {
     net.adam_step(adam, &pool);
   }
   Workspace eval = net.make_workspace();
-  EXPECT_EQ(net.predict_top1(view(idx, val), eval), 3u);
+  std::vector<std::uint32_t> top;
+  net.predict_topk(view(idx, val), 1, eval, top);
+  EXPECT_EQ(top[0], 3u);
 }
 
 }  // namespace

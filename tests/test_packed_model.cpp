@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/network.h"
+#include "core/serialize.h"
 #include "core/serialize_io.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -631,6 +632,46 @@ TEST(PackedModel, CommittedModelFilesResaveByteForByte) {
     std::stringstream out;
     pm.save(out);
     EXPECT_TRUE(out.str() == bytes) << "re-saved model differs from " << path;
+  }
+}
+
+TEST(PackedModel, FreezeReproducesCommittedFixtures) {
+  // tests/fixtures/README.md describes how the files were made: freezing the
+  // committed checkpoint again must give the same model, which pins the
+  // int8 calibration pass as well as the packing.
+  const std::string dir = SLIDE_TEST_FIXTURES;
+  const Network net = load_network_file(dir + "/tiny_checkpoint.sldn");
+
+  std::ifstream file(dir + "/tiny_fp32.sldp", std::ios::binary);
+  const std::string fp32_bytes{std::istreambuf_iterator<char>(file),
+                               std::istreambuf_iterator<char>()};
+  ASSERT_FALSE(fp32_bytes.empty());
+  std::stringstream fp32;
+  infer::PackedModel::freeze(net, Precision::Fp32).save(fp32);
+  EXPECT_TRUE(fp32.str() == fp32_bytes) << "fp32 freeze differs from tiny_fp32.sldp";
+
+  data::SyntheticConfig dcfg;
+  dcfg.feature_dim = 24;
+  dcfg.label_dim = 10;
+  dcfg.num_train = 64;
+  dcfg.num_test = 8;
+  dcfg.avg_nnz = 5;
+  dcfg.num_clusters = 4;
+  dcfg.seed = 5;
+  const data::Dataset calib = data::make_xc_datasets(dcfg).first;
+  const infer::PackedModel got =
+      infer::PackedModel::freeze(net, Precision::Int8, dataset_views(calib));
+  const infer::PackedModel want = infer::PackedModel::load_file(dir + "/tiny_int8.sldp");
+  ASSERT_EQ(got.num_layers(), want.num_layers());
+  for (std::size_t i = 0; i < got.num_layers(); ++i) {
+    const auto& a = got.layer(i);
+    const auto& b = want.layer(i);
+    EXPECT_TRUE(a.w8 == b.w8) << "layer " << i;
+    EXPECT_TRUE(a.w_scale == b.w_scale) << "layer " << i;
+    EXPECT_EQ(a.in_zero, b.in_zero) << "layer " << i;
+    // The calibration's fp32 sums run in each ISA's kernel order, so the
+    // last bits of the activation scale may move between tiers.
+    EXPECT_NEAR(a.in_scale, b.in_scale, 1e-6 * std::fabs(b.in_scale)) << "layer " << i;
   }
 }
 

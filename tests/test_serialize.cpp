@@ -70,7 +70,10 @@ TEST(Serialize, RoundTripPreservesPredictions) {
   Network back = load_network(buffer);
   Workspace wa = net.make_workspace();
   Workspace wb = back.make_workspace();
-  EXPECT_EQ(net.predict_top1(sample_input(), wa), back.predict_top1(sample_input(), wb));
+  std::vector<std::uint32_t> ta, tb;
+  net.predict_topk(sample_input(), 1, wa, ta);
+  back.predict_topk(sample_input(), 1, wb, tb);
+  EXPECT_EQ(ta, tb);
 }
 
 TEST(Serialize, Bf16ActivationsNetworkRoundTrips) {
@@ -90,7 +93,10 @@ TEST(Serialize, Bf16ActivationsNetworkRoundTrips) {
   }
   Workspace wa = net.make_workspace();
   Workspace wb = back.make_workspace();
-  EXPECT_EQ(net.predict_top1(sample_input(), wa), back.predict_top1(sample_input(), wb));
+  std::vector<std::uint32_t> ta, tb;
+  net.predict_topk(sample_input(), 1, wa, ta);
+  back.predict_topk(sample_input(), 1, wb, tb);
+  EXPECT_EQ(ta, tb);
 }
 
 TEST(Serialize, RoundTripRebuildsIdenticalHashedLayerState) {
@@ -119,8 +125,10 @@ TEST(Serialize, RoundTripRebuildsIdenticalHashedLayerState) {
   }
   Workspace wa = net.make_workspace(42);
   Workspace wb = back.make_workspace(42);
-  EXPECT_EQ(net.predict_top1_sampled(sample_input(), wa),
-            back.predict_top1_sampled(sample_input(), wb));
+  net.forward(sample_input(), {}, wa, /*train=*/false);
+  back.forward(sample_input(), {}, wb, /*train=*/false);
+  EXPECT_EQ(wa.layers.back().active, wb.layers.back().active);
+  EXPECT_EQ(wa.layers.back().act, wb.layers.back().act);
 }
 
 TEST(Serialize, Bf16NetworkRoundTrips) {

@@ -12,7 +12,7 @@
 #include "core/trainer.h"
 #include "data/svm_reader.h"
 #include "data/synthetic.h"
-#include "threading/thread_pool.h"
+#include "pool_guard.h"
 
 namespace slide::data {
 namespace {
@@ -309,7 +309,7 @@ std::vector<float> net_weights(const Network& net) {
 }
 
 TEST(StreamReader, TrainerParityBitForBitWithEagerSingleThread) {
-  set_global_pool_threads(1);
+  const ScopedPoolThreads one_thread(1);
   auto [path, eager] = write_fixture(700, "slide_stream_train_parity.txt");
 
   TrainerConfig tcfg;
@@ -340,11 +340,10 @@ TEST(StreamReader, TrainerParityBitForBitWithEagerSingleThread) {
   EXPECT_EQ(ss.batches, (eager.size() + 63) / 64);
   EXPECT_GE(ss.first_batch_seconds, 0.0);
   EXPECT_GE(ss.loader_wait_seconds, 0.0);
-  set_global_pool_threads(ThreadPool::default_thread_count());
 }
 
 TEST(StreamReader, ShuffledStreamingEpochsAreDeterministic) {
-  set_global_pool_threads(1);
+  const ScopedPoolThreads one_thread(1);
   auto [path, eager] = write_fixture(500, "slide_stream_train_det.txt");
 
   const auto run = [&]() {
@@ -360,10 +359,10 @@ TEST(StreamReader, ShuffledStreamingEpochsAreDeterministic) {
     return net_weights(net);
   };
   EXPECT_EQ(run(), run());
-  set_global_pool_threads(ThreadPool::default_thread_count());
 }
 
 TEST(StreamReader, StreamingTrainImprovesP1) {
+  const ScopedPoolThreads one_thread(1);
   auto [path, eager] = write_fixture(1200, "slide_stream_train_full.txt");
   SyntheticConfig cfg;
   cfg.feature_dim = 300;

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
-#include "threading/thread_pool.h"
+#include "pool_guard.h"
 
 namespace slide {
 namespace {
@@ -34,6 +34,7 @@ NetworkConfig slide_config(std::size_t input, std::size_t labels) {
 }
 
 TEST(Trainer, SlideP1ImprovesWithTraining) {
+  const ScopedPoolThreads one_thread(1);
   auto [train, test] = small_task();
   Network net(slide_config(train.feature_dim(), train.label_dim()));
   TrainerConfig tcfg;
@@ -83,7 +84,7 @@ TEST(Trainer, HistoryBookkeepingIsConsistent) {
 }
 
 TEST(Trainer, SingleThreadDeterminism) {
-  set_global_pool_threads(1);
+  const ScopedPoolThreads one_thread(1);
   auto [train, test] = small_task();
 
   auto run = [&]() {
@@ -100,7 +101,6 @@ TEST(Trainer, SingleThreadDeterminism) {
   const auto w1 = run();
   const auto w2 = run();
   EXPECT_EQ(w1, w2);
-  set_global_pool_threads(ThreadPool::default_thread_count());
 }
 
 TEST(Trainer, EvalCapsExamples) {
@@ -125,6 +125,7 @@ TEST(Trainer, AdamStepCountAdvancesPerBatch) {
 }
 
 TEST(Trainer, ShuffleModesAllConverge) {
+  const ScopedPoolThreads one_thread(1);
   auto [train, test] = small_task();
   for (const ShuffleMode mode :
        {ShuffleMode::None, ShuffleMode::Batches, ShuffleMode::Examples}) {
@@ -141,7 +142,7 @@ TEST(Trainer, ShuffleModesAllConverge) {
 }
 
 TEST(Trainer, ExampleShuffleIsDeterministicSingleThread) {
-  set_global_pool_threads(1);
+  const ScopedPoolThreads one_thread(1);
   auto [train, test] = small_task();
   (void)test;
   const auto run = [&]() {
@@ -156,7 +157,6 @@ TEST(Trainer, ExampleShuffleIsDeterministicSingleThread) {
                               net.layer(1).weights_f32().end());
   };
   EXPECT_EQ(run(), run());
-  set_global_pool_threads(ThreadPool::default_thread_count());
 }
 
 TEST(Trainer, ShuffleModesVisitEveryExampleOncePerEpoch) {
@@ -207,6 +207,7 @@ TEST(Trainer, PrecisionAtKEvaluation) {
 }
 
 TEST(Trainer, WorksWithFragmentedLayout) {
+  const ScopedPoolThreads one_thread(1);
   auto [train, test] = small_task();
   const data::Dataset frag_train = train.with_layout(data::Layout::Fragmented);
   Network net(slide_config(train.feature_dim(), train.label_dim()));

@@ -129,6 +129,15 @@ bool apply_common_system_flags(const cli::ArgParser& args) {
   return true;
 }
 
+// A data file wider than the model would index past the input layer's
+// weights; the command prints why and exits 1 instead.
+bool fits_model(const std::string& path, const data::Dataset& d, std::size_t input_dim) {
+  std::string error;
+  if (cli::check_input_width(path, d.feature_dim(), input_dim, &error)) return true;
+  std::fprintf(stderr, "error: %s\n", error.c_str());
+  return false;
+}
+
 int cmd_train(int argc, const char* const* argv) {
   cli::ArgParser args("slide_cli train: train a SLIDE model on XC-format data");
   args.add_required_string("train", "training file (XC format)");
@@ -186,6 +195,7 @@ int cmd_train(int argc, const char* const* argv) {
   const data::Dataset test = data::read_xc_file(args.get_string("test"));
   const std::size_t feature_dim = streaming ? stream->feature_dim() : train.feature_dim();
   const std::size_t label_dim = streaming ? stream->label_dim() : train.label_dim();
+  if (!fits_model(args.get_string("test"), test, feature_dim)) return 1;
 
   LshLayerConfig lsh;
   const std::string hash = args.get_string("hash");
@@ -302,6 +312,7 @@ int cmd_eval(int argc, const char* const* argv) {
 
   Network net = load_network_file(args.get_string("model"));
   const data::Dataset test = data::read_xc_file(args.get_string("test"));
+  if (!fits_model(args.get_string("test"), test, net.input_dim())) return 1;
   Trainer trainer(net, {});
   const auto max_examples = static_cast<std::size_t>(args.get_int("max-examples"));
   for (std::int64_t k = 1; k <= args.get_int("topk"); ++k) {
@@ -384,6 +395,7 @@ int cmd_freeze(int argc, const char* const* argv) {
     cal.max_samples =
         static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("calib-samples")));
     const data::Dataset calib = data::read_xc_file(args.get_string("calib"));
+    if (!fits_model(args.get_string("calib"), calib, net.input_dim())) return 1;
     std::vector<data::SparseVectorView> views;
     views.reserve(calib.size());
     for (std::size_t i = 0; i < calib.size(); ++i) views.push_back(calib.features(i));
@@ -427,6 +439,7 @@ int cmd_predict(int argc, const char* const* argv) {
   const infer::PackedModel packed = infer::PackedModel::load_file(args.get_string("model"));
   infer::InferenceEngine engine(packed);
   const data::Dataset test = data::read_xc_file(args.get_string("test"));
+  if (!fits_model(args.get_string("test"), test, packed.input_dim())) return 1;
   std::size_t n = test.size();
   if (args.get_int("max-examples") > 0) {
     n = std::min(n, static_cast<std::size_t>(args.get_int("max-examples")));
