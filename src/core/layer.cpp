@@ -147,6 +147,23 @@ void Layer::accumulate_grad_input(data::SparseVectorView x, const float* g) {
   }
 }
 
+void Layer::backward_rows(const std::uint32_t* rows, const float* g, std::size_t count,
+                          const float* prev_act, float* prev_grad) {
+  if (precision_ == Precision::Bf16All) {
+    kernels::backward_rows_bf16(w16_.data(), gw_.data(), input_dim_, rows, g, count, prev_act,
+                                prev_grad, input_dim_);
+  } else {
+    kernels::backward_rows_f32(w_.data(), gw_.data(), input_dim_, rows, g, count, prev_act,
+                               prev_grad, input_dim_);
+  }
+  for (std::size_t k = 0; k < count; ++k) {
+    if (g[k] == 0.0f) continue;
+    const std::uint32_t n = rows == nullptr ? static_cast<std::uint32_t>(k) : rows[k];
+    gb_[n] += g[k];
+    mark_dirty(n);
+  }
+}
+
 void Layer::hash_one_neuron(std::uint32_t n, std::uint32_t* out) const {
   if (precision_ == Precision::Bf16All) {
     thread_local std::vector<float> widened;

@@ -159,28 +159,20 @@ class Layer {
   void accumulate_grad_input(data::SparseVectorView x, const float* g);
 
   // NeuronMajor from here on.
-  // Accumulates g * prev_act into neuron n's gradient row (dense input).
-  void accumulate_grad_dense(std::uint32_t n, float g, const float* prev_act) {
-    const std::size_t row = static_cast<std::size_t>(n) * input_dim_;
-    kernels::axpy_f32(g, prev_act, gw_.data() + row, input_dim_);
-    gb_[n] += g;
-    mark_dirty(n);
-  }
-  // Same for a sparse input vector (first layer).
+  // Dense previous layer, one call per example: for each of the `count`
+  // neurons rows[k] (rows == nullptr means 0..count-1) with g[k] != 0, adds
+  // g[k] * prev_act into its gradient row and g[k] * its weight row into
+  // prev_grad (the transposed product of Algorithm 2) in one backward_rows_*
+  // sweep, then adds g[k] to its bias gradient and marks it dirty.
+  void backward_rows(const std::uint32_t* rows, const float* g, std::size_t count,
+                     const float* prev_act, float* prev_grad);
+  // Accumulates g * x into neuron n's gradient row for a sparse input
+  // vector (first layer, or a sampled previous layer).
   void accumulate_grad_sparse(std::uint32_t n, float g, data::SparseVectorView x) {
     const std::size_t row = static_cast<std::size_t>(n) * input_dim_;
     kernels::scatter_axpy_f32(g, x.indices, x.values, x.nnz, gw_.data() + row);
     gb_[n] += g;
     mark_dirty(n);
-  }
-  // prev_grad += g * w_row(n): the dense transposed product of Algorithm 2.
-  void backprop_to_dense(std::uint32_t n, float g, float* prev_grad) const {
-    const std::size_t row = static_cast<std::size_t>(n) * input_dim_;
-    if (precision_ == Precision::Bf16All) {
-      kernels::axpy_bf16(g, w16_.data() + row, prev_grad, input_dim_);
-    } else {
-      kernels::axpy_f32(g, w_.data() + row, prev_grad, input_dim_);
-    }
   }
   // Compact variant for a *sparse* previous layer: prev_grad_compact[k] +=
   // g * w_row(n)[prev_active[k]].  `scratch` must hold >= count floats.
@@ -243,6 +235,7 @@ class Layer {
   std::span<float> biases() { return {bias_.data(), bias_.size()}; }
   std::span<const float> biases() const { return {bias_.data(), bias_.size()}; }
   std::span<const float> weight_gradients() const { return {gw_.data(), gw_.size()}; }
+  std::span<const float> bias_gradients() const { return {gb_.data(), gb_.size()}; }
   std::span<float> moment1() { return {mw_.data(), mw_.size()}; }
   std::span<const float> moment1() const { return {mw_.data(), mw_.size()}; }
   std::span<float> moment2() { return {vw_.data(), vw_.size()}; }

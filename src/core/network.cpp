@@ -8,6 +8,15 @@
 #include "util/rng.h"
 
 namespace slide {
+namespace {
+
+// The neuron behind slot k of a layer's outputs: rows[k], or k when the
+// layer computed every neuron (rows == nullptr).
+std::uint32_t neuron_at(const std::uint32_t* rows, std::size_t k) {
+  return rows == nullptr ? static_cast<std::uint32_t>(k) : rows[k];
+}
+
+}  // namespace
 
 Workspace::Workspace(const Network& net, std::uint64_t seed) {
   layers.reserve(net.num_layers());
@@ -50,7 +59,7 @@ float Network::forward(data::SparseVectorView x, std::span<const std::uint32_t> 
     const bool output_layer = i + 1 == layers_.size();
 
     // --- active-set selection ------------------------------------------
-    std::size_t count;
+    lw.active.clear();
     if (L.uses_hashing()) {
       if (i == 0) {
         L.hash_input_sparse(x, lw.buckets.data());
@@ -68,11 +77,11 @@ float Network::forward(data::SparseVectorView x, std::span<const std::uint32_t> 
           (train && output_layer) ? labels : std::span<const std::uint32_t>{};
       lsh::select_active_set(*L.tables(), lw.buckets.data(), forced, L.dim(), limits,
                              lw.sampler, lw.active);
-      count = lw.active.size();
-    } else {
-      lw.active.clear();
-      count = L.dim();
     }
+    // An empty selection (possible with min_active = 0) computes every
+    // neuron: `active` stays empty, which is what marks a layer dense.
+    const std::uint32_t* rows = lw.active.empty() ? nullptr : lw.active.data();
+    const std::size_t count = rows == nullptr ? L.dim() : lw.active.size();
     lw.act.resize(count);
 
     // --- pre-activations ---------------------------------------------------
@@ -82,23 +91,18 @@ float Network::forward(data::SparseVectorView x, std::span<const std::uint32_t> 
     } else if (i == 0) {
       // Sparse input into a hashed layer: gather-based dots per active
       // neuron (Algorithm 1 over a sparse vector).
-      for (std::size_t k = 0; k < count; ++k) lw.act[k] = L.pre_activation(lw.active[k], x);
+      for (std::size_t k = 0; k < count; ++k) lw.act[k] = L.pre_activation(neuron_at(rows, k), x);
     } else {
       const auto& pw = ws.layers[i - 1];
       if (!pw.active.empty()) {
         // Compact (sparse) previous layer.
         const data::SparseVectorView prev{pw.active.data(), pw.act.data(),
                                           pw.active.size()};
-        if (L.uses_hashing()) {
-          for (std::size_t k = 0; k < count; ++k) lw.act[k] = L.pre_activation(lw.active[k], prev);
-        } else {
-          for (std::size_t j = 0; j < count; ++j) {
-            lw.act[j] = L.pre_activation(static_cast<std::uint32_t>(j), prev);
-          }
+        for (std::size_t k = 0; k < count; ++k) {
+          lw.act[k] = L.pre_activation(neuron_at(rows, k), prev);
         }
       } else {
         // Dense previous layer: 4-row-blocked batched dots.
-        const std::uint32_t* rows = L.uses_hashing() ? lw.active.data() : nullptr;
         L.pre_activation_rows(rows, count, pw.act.data(),
                               bf16_act ? pw.act16.data() : nullptr, lw.act.data());
       }
@@ -118,7 +122,7 @@ float Network::forward(data::SparseVectorView x, std::span<const std::uint32_t> 
     // --- loss -----------------------------------------------------------------
     if (train && output_layer && !labels.empty()) {
       const float y = 1.0f / static_cast<float>(labels.size());
-      if (L.uses_hashing()) {
+      if (rows != nullptr) {
         // select_active_set guarantees the forced labels occupy the first
         // labels.size() slots of the active set.
         for (std::size_t k = 0; k < labels.size(); ++k) {
@@ -180,20 +184,23 @@ void Network::backward(data::SparseVectorView x, std::span<const std::uint32_t> 
       L.accumulate_grad_input(x, lg.grad.data());  // layer 0: nothing to propagate
       continue;
     }
+    const std::uint32_t* rows = lw.active.empty() ? nullptr : lw.active.data();
     const std::size_t count = lw.act.size();
-    for (std::size_t k = 0; k < count; ++k) {
-      const float g = lg.grad[k];
-      if (g == 0.0f) continue;
-      const std::uint32_t n =
-          lw.active.empty() ? static_cast<std::uint32_t>(k) : lw.active[k];
-      if (i == 0) {
-        L.accumulate_grad_sparse(n, g, x);
-      } else if (prev_ids != nullptr) {
-        L.accumulate_grad_sparse(n, g, {prev_ids, prev_act, prev_count});
-        L.backprop_to_sparse(n, g, prev_ids, prev_count, lg.gather_scratch.data(), prev_grad);
-      } else {
-        L.accumulate_grad_dense(n, g, prev_act);
-        L.backprop_to_dense(n, g, prev_grad);
+    if (i > 0 && prev_ids == nullptr) {
+      // Dense previous layer: one fused sweep over the active rows.
+      L.backward_rows(rows, lg.grad.data(), count, prev_act, prev_grad);
+    } else {
+      for (std::size_t k = 0; k < count; ++k) {
+        const float g = lg.grad[k];
+        if (g == 0.0f) continue;
+        const std::uint32_t n = neuron_at(rows, k);
+        if (i == 0) {
+          L.accumulate_grad_sparse(n, g, x);
+        } else {
+          L.accumulate_grad_sparse(n, g, {prev_ids, prev_act, prev_count});
+          L.backprop_to_sparse(n, g, prev_ids, prev_count, lg.gather_scratch.data(),
+                               prev_grad);
+        }
       }
     }
 

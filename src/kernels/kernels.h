@@ -24,6 +24,11 @@
 //                             feature-major W: out += sum_k x_k * W[idx_k],
 //                             with the output tile held in registers across
 //                             the whole feature sweep (input-layer forward).
+//   backward_rows_*           the backward of a neuron-major layer over its
+//                             active rows in one sweep: G[row] += g_r * x and
+//                             x_grad += g_r * W[row], with the x and x_grad
+//                             tiles held in registers; rows with g_r == 0 are
+//                             skipped and their gradient rows left untouched.
 //   adam_step_*               Fig. 3: vectorized ADAM update over contiguous
 //                             weight/momentum/velocity/gradient rows.
 //   fp32_to_bf16 / bf16_to_fp32  Section 4.4 quantization (round-to-nearest-
@@ -102,6 +107,17 @@ struct KernelTable {
                               std::size_t nrows, const bf16* x, std::size_t n, float* out);
   void (*dot_rows_wbf16_xbf16)(const bf16* w, std::size_t ld, const std::uint32_t* rows,
                                std::size_t nrows, const bf16* x, std::size_t n, float* out);
+  // For r in [0, nrows), in r order, skipping rows with g[r] == 0:
+  // gw[row(r)] += g[r] * x and xgrad += g[r] * w[row(r)] over n columns,
+  // with row(r) = rows[r] * ld as in dot_rows_f32 (the gradient arena gw
+  // shares w's row order).  Bit-identical to axpy_f32(g[r], x, gw row)
+  // followed by axpy_{f32,bf16}(g[r], w row, xgrad), row by row.
+  void (*backward_rows_f32)(const float* w, float* gw, std::size_t ld,
+                            const std::uint32_t* rows, const float* g, std::size_t nrows,
+                            const float* x, float* xgrad, std::size_t n);
+  void (*backward_rows_bf16)(const bf16* w, float* gw, std::size_t ld,
+                             const std::uint32_t* rows, const float* g, std::size_t nrows,
+                             const float* x, float* xgrad, std::size_t n);
 
   void (*gather_f32)(float* dst, const float* src, const std::uint32_t* idx, std::size_t n);
   void (*gather_scatter_f32)(float* dst, const std::uint32_t* dst_idx, const float* src,
@@ -270,6 +286,16 @@ inline void dot_rows_wbf16_xbf16(const bf16* w, std::size_t ld, const std::uint3
                                  std::size_t nrows, const bf16* x, std::size_t n,
                                  float* out) {
   detail::active_table()->dot_rows_wbf16_xbf16(w, ld, rows, nrows, x, n, out);
+}
+inline void backward_rows_f32(const float* w, float* gw, std::size_t ld,
+                              const std::uint32_t* rows, const float* g, std::size_t nrows,
+                              const float* x, float* xgrad, std::size_t n) {
+  detail::active_table()->backward_rows_f32(w, gw, ld, rows, g, nrows, x, xgrad, n);
+}
+inline void backward_rows_bf16(const bf16* w, float* gw, std::size_t ld,
+                               const std::uint32_t* rows, const float* g, std::size_t nrows,
+                               const float* x, float* xgrad, std::size_t n) {
+  detail::active_table()->backward_rows_bf16(w, gw, ld, rows, g, nrows, x, xgrad, n);
 }
 inline void gather_f32(float* dst, const float* src, const std::uint32_t* idx,
                        std::size_t n) {

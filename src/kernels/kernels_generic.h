@@ -419,8 +419,7 @@ struct GenericKernels {
   // dots — the batched form of Algorithm 1 used by the layer forward pass.
 
   template <class T>
-  static const T* row_ptr(const T* w, std::size_t ld, const std::uint32_t* rows,
-                          std::size_t r) {
+  static T* row_ptr(T* w, std::size_t ld, const std::uint32_t* rows, std::size_t r) {
     return w + (rows != nullptr ? rows[r] : r) * ld;
   }
 
@@ -471,6 +470,79 @@ struct GenericKernels {
                                    std::size_t nrows, const bf16* x, std::size_t n,
                                    float* out) {
     dot_rows_any(w, ld, rows, nrows, x, n, out);
+  }
+
+  // --- fused backward over active rows ----------------------------------------
+  // Both halves of a neuron-major layer's backward in one sweep: the weight
+  // gradient gw[row] += g*x and the propagation xgrad += g*w[row].  The x and
+  // xgrad tiles of four vectors stay in registers for the whole row sweep, so
+  // xgrad is loaded and stored once per tile instead of once per row.  Each
+  // element gets the FMAs of the two per-row axpy calls, with the same
+  // operands in the same row order, so the result equals that loop bit for
+  // bit.  W == 1 sweeps each row at full width instead (tiling only adds
+  // passes over the row list there).
+
+  template <class TW>
+  static void backward_rows_any(const TW* w, float* gw, std::size_t ld,
+                                const std::uint32_t* rows, const float* g, std::size_t nrows,
+                                const float* x, float* xgrad, std::size_t n) {
+    if constexpr (W == 1) {
+      for (std::size_t r = 0; r < nrows; ++r) {
+        if (g[r] == 0.0f) continue;
+        axpy_any(g[r], x, row_ptr(gw, ld, rows, r), n);
+        axpy_any(g[r], row_ptr(w, ld, rows, r), xgrad, n);
+      }
+    } else {
+      std::size_t j = 0;
+      for (; j + 4 * W <= n; j += 4 * W) {
+        const vf x0 = S::loadu(x + j), x1 = S::loadu(x + j + W);
+        const vf x2 = S::loadu(x + j + 2 * W), x3 = S::loadu(x + j + 3 * W);
+        vf a0 = S::loadu(xgrad + j), a1 = S::loadu(xgrad + j + W);
+        vf a2 = S::loadu(xgrad + j + 2 * W), a3 = S::loadu(xgrad + j + 3 * W);
+        for (std::size_t r = 0; r < nrows; ++r) {
+          if (g[r] == 0.0f) continue;
+          const vf gv = S::set1(g[r]);
+          float* gr = row_ptr(gw, ld, rows, r) + j;
+          S::storeu(gr, S::fmadd(gv, x0, S::loadu(gr)));
+          S::storeu(gr + W, S::fmadd(gv, x1, S::loadu(gr + W)));
+          S::storeu(gr + 2 * W, S::fmadd(gv, x2, S::loadu(gr + 2 * W)));
+          S::storeu(gr + 3 * W, S::fmadd(gv, x3, S::loadu(gr + 3 * W)));
+          const TW* wr = row_ptr(w, ld, rows, r) + j;
+          a0 = S::fmadd(gv, load_elems(wr), a0);
+          a1 = S::fmadd(gv, load_elems(wr + W), a1);
+          a2 = S::fmadd(gv, load_elems(wr + 2 * W), a2);
+          a3 = S::fmadd(gv, load_elems(wr + 3 * W), a3);
+        }
+        S::storeu(xgrad + j, a0);
+        S::storeu(xgrad + j + W, a1);
+        S::storeu(xgrad + j + 2 * W, a2);
+        S::storeu(xgrad + j + 3 * W, a3);
+      }
+      for (; j < n; j += W) {
+        const std::size_t rem = n - j < W ? n - j : W;
+        const vf xv = S::load_partial(x + j, rem);
+        vf a = S::load_partial(xgrad + j, rem);
+        for (std::size_t r = 0; r < nrows; ++r) {
+          if (g[r] == 0.0f) continue;
+          const vf gv = S::set1(g[r]);
+          float* gr = row_ptr(gw, ld, rows, r) + j;
+          S::store_partial(gr, rem, S::fmadd(gv, xv, S::load_partial(gr, rem)));
+          a = S::fmadd(gv, load_elems_partial(row_ptr(w, ld, rows, r) + j, rem), a);
+        }
+        S::store_partial(xgrad + j, rem, a);
+      }
+    }
+  }
+
+  static void backward_rows_f32(const float* w, float* gw, std::size_t ld,
+                                const std::uint32_t* rows, const float* g, std::size_t nrows,
+                                const float* x, float* xgrad, std::size_t n) {
+    backward_rows_any(w, gw, ld, rows, g, nrows, x, xgrad, n);
+  }
+  static void backward_rows_bf16(const bf16* w, float* gw, std::size_t ld,
+                                 const std::uint32_t* rows, const float* g, std::size_t nrows,
+                                 const float* x, float* xgrad, std::size_t n) {
+    backward_rows_any(w, gw, ld, rows, g, nrows, x, xgrad, n);
   }
 
   // --- gather / DWTA support --------------------------------------------------
@@ -733,6 +805,8 @@ constexpr KernelTable make_kernel_table(const char* name) {
   t.dot_rows_f32 = &G::dot_rows_f32;
   t.dot_rows_wf32_xbf16 = &G::dot_rows_wf32_xbf16;
   t.dot_rows_wbf16_xbf16 = &G::dot_rows_wbf16_xbf16;
+  t.backward_rows_f32 = &G::backward_rows_f32;
+  t.backward_rows_bf16 = &G::backward_rows_bf16;
   t.gather_f32 = &G::gather_f32;
   t.gather_scatter_f32 = &G::gather_scatter_f32;
   t.wta_winners_f32 = &G::wta_winners_f32;

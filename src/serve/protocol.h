@@ -126,7 +126,8 @@ class Reader {
   template <typename T>
   bool array(T* out, std::size_t n) {
     if (!take(n * sizeof(T))) return false;
-    std::memcpy(out, data_.data() + pos_ - n * sizeof(T), n * sizeof(T));
+    // An empty array may come with a null `out`, which memcpy must not see.
+    if (n != 0) std::memcpy(out, data_.data() + pos_ - n * sizeof(T), n * sizeof(T));
     return true;
   }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstring>
@@ -175,6 +176,75 @@ TEST_P(BackendParityTest, SparseAxpyRows) {
       }
     }
   }
+}
+
+// Bitwise equality: EXPECT_EQ on floats would take -0.0f for +0.0f.
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](float x, float y) {
+    return std::bit_cast<std::uint32_t>(x) == std::bit_cast<std::uint32_t>(y);
+  });
+}
+
+// backward_rows_* must equal, bit for bit, the same backend's per-row pair
+// axpy_f32(g, x, gradient row) then axpy_{f32,bf16}(g, weight row, xgrad),
+// scalar included.  The row with g == 0 holds -0.0f in its gradient row: a
+// kernel that swept it anyway would turn that into +0.0f.
+TEST(BackendParity, BackwardRows) {
+  const Isa ambient = active_isa();
+  Rng rng(109);
+  const std::size_t arena_rows = 12;
+  const std::vector<std::uint32_t> list = {7, 2, 9, 0, 11, 4};
+  const std::vector<float> g = {0.8f, -0.3f, 0.0f, 1.7f, -1.1f, 0.45f};
+  for (const Isa isa : available_isas()) {
+    ASSERT_TRUE(set_isa(isa));
+    for (const std::size_t n : kSizes) {
+      const std::size_t ld = n + 5;
+      const auto w = random_vec(arena_rows * ld, rng);
+      std::vector<bf16> w16(w.size());
+      fp32_to_bf16(w.data(), w16.data(), w.size());
+      const auto x = random_vec(n, rng);
+      const auto xgrad0 = random_vec(n, rng);
+      for (const bool explicit_rows : {true, false}) {
+        const std::uint32_t* rows = explicit_rows ? list.data() : nullptr;
+        const auto row_of = [&](std::size_t r) { return explicit_rows ? list[r] : r; };
+        const std::size_t zero_row = row_of(2) * ld;  // g[2] == 0
+        auto gw0 = random_vec(arena_rows * ld, rng);
+        std::fill(gw0.begin() + zero_row, gw0.begin() + zero_row + n, -0.0f);
+        for (const bool bf16_w : {false, true}) {
+          auto ref_gw = gw0, got_gw = gw0;
+          auto ref_xgrad = xgrad0, got_xgrad = xgrad0;
+          for (std::size_t r = 0; r < list.size(); ++r) {
+            if (g[r] == 0.0f) continue;
+            const std::size_t off = row_of(r) * ld;
+            axpy_f32(g[r], x.data(), ref_gw.data() + off, n);
+            if (bf16_w) {
+              axpy_bf16(g[r], w16.data() + off, ref_xgrad.data(), n);
+            } else {
+              axpy_f32(g[r], w.data() + off, ref_xgrad.data(), n);
+            }
+          }
+          if (bf16_w) {
+            backward_rows_bf16(w16.data(), got_gw.data(), ld, rows, g.data(), list.size(),
+                               x.data(), got_xgrad.data(), n);
+          } else {
+            backward_rows_f32(w.data(), got_gw.data(), ld, rows, g.data(), list.size(),
+                              x.data(), got_xgrad.data(), n);
+          }
+          const std::string where = std::string(isa_name(isa)) + " n=" + std::to_string(n) +
+                                    (bf16_w ? " bf16" : " f32") +
+                                    (explicit_rows ? " rows" : " nullptr");
+          EXPECT_TRUE(same_bits(got_gw, ref_gw)) << where;
+          EXPECT_TRUE(same_bits(got_xgrad, ref_xgrad)) << where;
+          bool zero_row_kept = true;
+          for (std::size_t j = 0; j < n; ++j) {
+            zero_row_kept &= std::signbit(got_gw[zero_row + j]) && got_gw[zero_row + j] == 0.0f;
+          }
+          EXPECT_TRUE(zero_row_kept) << where;
+        }
+      }
+    }
+  }
+  set_isa(ambient);
 }
 
 TEST_P(BackendParityTest, ElementwiseExact) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -86,7 +88,10 @@ TEST(Layer, AccumulateThenAdamMovesOnlyDirtyRows) {
   const std::vector<float> before(L.weights_f32().begin(), L.weights_f32().end());
 
   std::vector<float> prev = {1.0f, 0.0f, -1.0f, 2.0f};
-  L.accumulate_grad_dense(1, 0.5f, prev.data());
+  std::vector<float> prev_grad(4, 0.0f);
+  const std::uint32_t row = 1;
+  const float g = 0.5f;
+  L.backward_rows(&row, &g, 1, prev.data(), prev_grad.data());
 
   const AdamConfig cfg;
   L.adam_step(cfg, adam_bias_correction(cfg, 1), nullptr);
@@ -107,7 +112,10 @@ TEST(Layer, AccumulateThenAdamMovesOnlyDirtyRows) {
 TEST(Layer, AdamStepClearsGradientsAndFlags) {
   Layer L(4, dense_cfg(2), Precision::Fp32, 13);
   std::vector<float> prev = {1, 1, 1, 1};
-  L.accumulate_grad_dense(0, 1.0f, prev.data());
+  std::vector<float> prev_grad(4, 0.0f);
+  const std::uint32_t row = 0;
+  const float g = 1.0f;
+  L.backward_rows(&row, &g, 1, prev.data(), prev_grad.data());
   const AdamConfig cfg;
   L.adam_step(cfg, adam_bias_correction(cfg, 1), nullptr);
   for (const float g : L.weight_gradients()) EXPECT_EQ(g, 0.0f);
@@ -132,7 +140,10 @@ TEST(Layer, SparseGradAccumulationTargetsIndices) {
 TEST(Layer, BackpropToDenseAddsScaledRow) {
   Layer L(4, dense_cfg(2), Precision::Fp32, 19);
   std::vector<float> grad(4, 1.0f);
-  L.backprop_to_dense(1, 2.0f, grad.data());
+  const std::vector<float> prev(4, 0.0f);
+  const std::uint32_t row = 1;
+  const float g = 2.0f;
+  L.backward_rows(&row, &g, 1, prev.data(), grad.data());
   for (std::size_t j = 0; j < 4; ++j) {
     EXPECT_FLOAT_EQ(grad[j], 1.0f + 2.0f * L.row_f32(1)[j]);
   }
@@ -141,13 +152,82 @@ TEST(Layer, BackpropToDenseAddsScaledRow) {
 TEST(Layer, BackpropToSparseMatchesDenseSubset) {
   Layer L(8, dense_cfg(2), Precision::Fp32, 23);
   std::vector<float> dense_grad(8, 0.0f);
-  L.backprop_to_dense(0, 1.5f, dense_grad.data());
+  const std::vector<float> prev(8, 0.0f);
+  const std::uint32_t row = 0;
+  const float g = 1.5f;
+  L.backward_rows(&row, &g, 1, prev.data(), dense_grad.data());
 
   const std::uint32_t active[] = {1, 4, 7};
   std::vector<float> compact(3, 0.0f);
   std::vector<float> scratch(3);
   L.backprop_to_sparse(0, 1.5f, active, 3, scratch.data(), compact.data());
   for (int k = 0; k < 3; ++k) EXPECT_FLOAT_EQ(compact[k], dense_grad[active[k]]);
+}
+
+std::uint32_t bits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+// One backward_rows call over an active list leaves what the per-row axpy
+// pairs leave, bit for bit: the gradient arena, the bias gradient and
+// prev_grad.  ADAM then moves exactly the rows with g != 0.
+TEST(Layer, BackwardRowsMatchesPerRowAxpy) {
+  const std::size_t in = 100, dim = 24;  // whole tiles plus a tail at every width
+  const std::vector<std::uint32_t> rows = {5, 0, 17, 9, 23, 2};
+  const std::vector<float> g = {0.3f, -0.7f, 0.0f, 1.1f, 0.25f, -0.05f};
+  std::vector<float> prev(in), grad0(in);
+  for (std::size_t j = 0; j < in; ++j) {
+    prev[j] = 0.05f * static_cast<float>(j % 11) - 0.27f;  // never 0
+    grad0[j] = 0.01f * static_cast<float>(j % 7) - 0.02f;
+  }
+  for (const Precision p : {Precision::Fp32, Precision::Bf16Activations, Precision::Bf16All}) {
+    SCOPED_TRACE("precision " + std::to_string(static_cast<int>(p)));
+    Layer L(in, dense_cfg(dim), p, 67);
+    std::vector<float> prev_grad = grad0, ref_prev_grad = grad0;
+    std::vector<float> ref_gw(dim * in, 0.0f), ref_gb(dim, 0.0f);
+    L.backward_rows(rows.data(), g.data(), rows.size(), prev.data(), prev_grad.data());
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      if (g[k] == 0.0f) continue;
+      const std::uint32_t n = rows[k];
+      kernels::axpy_f32(g[k], prev.data(), ref_gw.data() + n * in, in);
+      if (p == Precision::Bf16All) {
+        kernels::axpy_bf16(g[k], L.row_bf16(n), ref_prev_grad.data(), in);
+      } else {
+        kernels::axpy_f32(g[k], L.row_f32(n), ref_prev_grad.data(), in);
+      }
+      ref_gb[n] += g[k];
+    }
+    for (std::size_t i = 0; i < ref_gw.size(); ++i) {
+      ASSERT_EQ(bits(L.weight_gradients()[i]), bits(ref_gw[i])) << "i=" << i;
+    }
+    for (std::uint32_t n = 0; n < dim; ++n) {
+      ASSERT_EQ(bits(L.bias_gradients()[n]), bits(ref_gb[n])) << "n=" << n;
+    }
+    for (std::size_t j = 0; j < in; ++j) {
+      ASSERT_EQ(bits(prev_grad[j]), bits(ref_prev_grad[j])) << "j=" << j;
+    }
+
+    std::vector<float> w0(dim * in);
+    for (std::uint32_t n = 0; n < dim; ++n) {
+      for (std::size_t j = 0; j < in; ++j) w0[n * in + j] = L.weight(n, j);
+    }
+    const std::vector<float> b0(L.biases().begin(), L.biases().end());
+    const AdamConfig cfg;
+    L.adam_step(cfg, adam_bias_correction(cfg, 1), nullptr);
+    for (std::uint32_t n = 0; n < dim; ++n) {
+      bool dirty = false;
+      for (std::size_t k = 0; k < rows.size(); ++k) dirty |= rows[k] == n && g[k] != 0.0f;
+      EXPECT_EQ(L.biases()[n] != b0[n], dirty) << "n=" << n;
+      for (std::size_t j = 0; j < in; ++j) {
+        ASSERT_EQ(L.moment1()[L.weight_index(n, j)] != 0.0f, dirty) << "n=" << n << " j=" << j;
+        if (!dirty) {
+          ASSERT_EQ(L.weight(n, j), w0[n * in + j]) << "n=" << n << " j=" << j;
+        }
+      }
+    }
+  }
 }
 
 TEST(Layer, Bf16AllStoresWeightsAsBf16) {

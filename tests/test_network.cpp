@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "data/synthetic.h"
 #include "threading/thread_pool.h"
 
 namespace slide {
@@ -255,6 +257,58 @@ TEST(Network, Bf16ModesApproximateFp32Forward) {
     for (std::size_t j = 0; j < ref.size(); ++j) {
       EXPECT_NEAR(got[j], ref[j], 0.05f) << "precision mode output diverged, j=" << j;
     }
+  }
+}
+
+// A hashed hidden layer with min_active = 0 can select no neuron.  It then
+// computes every neuron, as if it were dense: the next layer reads (and
+// backward writes) a full-width activation vector, and an example's loss
+// does not depend on what the workspace held before.
+TEST(Network, EmptyHiddenSelectionComputesTheLayerDensely) {
+  data::SyntheticConfig sc;
+  sc.feature_dim = 64;
+  sc.label_dim = 10;
+  sc.num_train = 200;
+  sc.num_test = 1;
+  sc.avg_nnz = 6;
+  sc.num_clusters = 4;
+  sc.seed = 5;
+  const auto [train, test] = data::make_xc_datasets(sc);
+  for (const std::size_t width : {64u, 512u}) {
+    LayerConfig hidden;
+    hidden.dim = width;
+    hidden.lsh.kind = HashKind::SimHash;
+    hidden.lsh.k = 8;
+    hidden.lsh.l = 1;
+    hidden.lsh.min_active = 0;
+    LayerConfig out;
+    out.dim = 10;
+    out.activation = Activation::Softmax;
+    NetworkConfig cfg;
+    cfg.input_dim = 64;
+    cfg.layers = {hidden, out};
+    Network net(cfg);
+    Workspace ws = net.make_workspace();
+    Workspace other = net.make_workspace();
+    std::size_t empty = 0;
+    for (std::size_t e = 0; e < train.size(); ++e) {
+      const auto x = train.features(e);
+      const auto y = train.labels(e);
+      const float loss = net.forward(x, y, ws, /*train=*/true);
+      if (!ws.layers[0].active.empty()) continue;
+      ++empty;
+      const auto& act = ws.layers[0].act;
+      ASSERT_EQ(act.size(), width) << "example " << e;
+      for (std::uint32_t n = 0; n < width; ++n) {
+        ASSERT_EQ(act[n], std::max(0.0f, net.layer(0).pre_activation(n, x))) << "n=" << n;
+      }
+      // The same loss from a workspace that last ran another example.
+      const std::size_t before = (e + 1) % train.size();
+      net.forward(train.features(before), train.labels(before), other, true);
+      EXPECT_EQ(net.forward(x, y, other, true), loss) << "example " << e;
+      net.backward(x, y, ws);
+    }
+    EXPECT_GT(empty, 0u) << "width " << width;
   }
 }
 
