@@ -20,15 +20,32 @@ struct LayerInput {
   const std::uint8_t* u8;
 };
 
-void add_bias(const LayerView& L, const std::uint32_t* rows, std::size_t count, float* out) {
-  for (std::size_t k = 0; k < count; ++k) out[k] += L.bias[rows == nullptr ? k : rows[k]];
+LayerInput input_of(data::SparseVectorView x, const ForwardScratch& s, std::size_t i) {
+  if (i == 0) return {true, x.indices, x.nnz, x.values, nullptr, s.qin.data()};
+  const LayerScratch& pw = s.layers[i - 1];
+  return {!pw.active.empty(), pw.active.data(), pw.active.size(), pw.act.data(),
+          pw.act16.data(), pw.act8.data()};
+}
+
+// Unswitched by hand: as one loop over neuron_at it does not vectorize.
+void add_bias(const LayerView& L, const std::uint32_t* rows, std::size_t count,
+              float* const* out, std::size_t nq) {
+  for (std::size_t q = 0; q < nq; ++q) {
+    float* o = out[q];
+    if (rows == nullptr) {
+      for (std::size_t k = 0; k < count; ++k) o[k] += L.bias[k];
+    } else {
+      for (std::size_t k = 0; k < count; ++k) o[k] += L.bias[rows[k]];
+    }
+  }
 }
 
 // The row dots and epilogue of one precision:
 //   sweep   every pre-activation of a feature-major layer on the query;
 //   sparse  neuron n's pre-activation on a sparse input;
-//   dense   the pre-activations of `rows` (nullptr = 0..count-1) on a dense
-//           input, through the 4-row-blocked dot_rows_* kernels.
+//   dense   the pre-activations of `rows` (nullptr = 0..count-1) for nq <=
+//           kQueryBlock queries with dense inputs in[q], into out[q], in one
+//           sweep of the query-block dot_rows_* kernels over the rows.
 struct F32Dots {
   static void sweep(const LayerView& L, const LayerInput& in, float* out, ForwardScratch&) {
     feature_major_forward(L.w, L.bias, L.dim, {in.idx, in.f32, in.nnz}, out);
@@ -37,18 +54,22 @@ struct F32Dots {
     return kernels::sparse_dot_f32(in.idx, in.f32, in.nnz, L.w + n * L.input_dim) + L.bias[n];
   }
   static void dense(const LayerView& L, const std::uint32_t* rows, std::size_t count,
-                    const LayerInput& in, float* out, ForwardScratch&) {
-    kernels::dot_rows_f32(L.w, L.input_dim, rows, count, in.f32, L.input_dim, out);
-    add_bias(L, rows, count, out);
+                    const LayerInput* in, float* const* out, std::size_t nq, ForwardScratch*) {
+    const float* x[kQueryBlock];
+    for (std::size_t q = 0; q < nq; ++q) x[q] = in[q].f32;
+    kernels::dot_rows_f32(L.w, L.input_dim, rows, count, x, nq, L.input_dim, out);
+    add_bias(L, rows, count, out, nq);
   }
 };
 
 // fp32 weights, bf16 activations: only dense inputs carry a bf16 mirror.
 struct Bf16ActDots : F32Dots {
   static void dense(const LayerView& L, const std::uint32_t* rows, std::size_t count,
-                    const LayerInput& in, float* out, ForwardScratch&) {
-    kernels::dot_rows_wf32_xbf16(L.w, L.input_dim, rows, count, in.b16, L.input_dim, out);
-    add_bias(L, rows, count, out);
+                    const LayerInput* in, float* const* out, std::size_t nq, ForwardScratch*) {
+    const bf16* x[kQueryBlock];
+    for (std::size_t q = 0; q < nq; ++q) x[q] = in[q].b16;
+    kernels::dot_rows_wf32_xbf16(L.w, L.input_dim, rows, count, x, nq, L.input_dim, out);
+    add_bias(L, rows, count, out, nq);
   }
 };
 
@@ -61,9 +82,11 @@ struct Bf16Dots {
            L.bias[n];
   }
   static void dense(const LayerView& L, const std::uint32_t* rows, std::size_t count,
-                    const LayerInput& in, float* out, ForwardScratch&) {
-    kernels::dot_rows_wbf16_xbf16(L.w16, L.input_dim, rows, count, in.b16, L.input_dim, out);
-    add_bias(L, rows, count, out);
+                    const LayerInput* in, float* const* out, std::size_t nq, ForwardScratch*) {
+    const bf16* x[kQueryBlock];
+    for (std::size_t q = 0; q < nq; ++q) x[q] = in[q].b16;
+    kernels::dot_rows_wbf16_xbf16(L.w16, L.input_dim, rows, count, x, nq, L.input_dim, out);
+    add_bias(L, rows, count, out, nq);
   }
 };
 
@@ -89,29 +112,64 @@ struct Int8Dots {
     kernels::sparse_dot_u8s8(in.idx, in.u8, in.nnz, L.w8 + n * L.input_dim, &dot, &wsum);
     return rescale(L, n, dot, wsum);
   }
-  // Every input is present, so the correction uses the full-row sums.
+  // Every input is present, so the correction uses the full-row sums.  The
+  // i32 dots land in each query's own acc32 (s points at query 0's scratch).
   static void dense(const LayerView& L, const std::uint32_t* rows, std::size_t count,
-                    const LayerInput& in, float* out, ForwardScratch& s) {
-    s.acc32.resize(count);
-    kernels::dot_rows_u8s8(L.w8, L.input_dim, rows, count, in.u8, L.input_dim, s.acc32.data());
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::uint32_t n = rows == nullptr ? static_cast<std::uint32_t>(k) : rows[k];
-      out[k] = rescale(L, n, s.acc32[k], L.w_rowsum[n]);
+                    const LayerInput* in, float* const* out, std::size_t nq, ForwardScratch* s) {
+    const std::uint8_t* x[kQueryBlock];
+    std::int32_t* acc[kQueryBlock];
+    for (std::size_t q = 0; q < nq; ++q) {
+      x[q] = in[q].u8;
+      s[q].acc32.resize(count);
+      acc[q] = s[q].acc32.data();
+    }
+    kernels::dot_rows_u8s8(L.w8, L.input_dim, rows, count, x, nq, L.input_dim, acc);
+    for (std::size_t q = 0; q < nq; ++q) {
+      float* o = out[q];
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::uint32_t n = neuron_at(rows, k);
+        o[k] = rescale(L, n, acc[q][k], L.w_rowsum[n]);
+      }
     }
   }
 };
 
+// Layer i's pre-activations for every query of the block.  A dense input
+// into a layer that computes every neuron runs kQueryBlock queries per
+// sweep over the rows; other layers go query by query.  (Whether layer i-1
+// was sampled, and so whether its output is dense, is the same for every
+// query of a block, and so is whether layer i is.)
 template <class Dots>
-void pre_activations(const LayerView& L, const LayerInput& in, const std::uint32_t* rows,
-                     std::size_t count, float* out, ForwardScratch& s) {
-  if (L.feature_major) {
-    Dots::sweep(L, in, out, s);  // dense input layer: nnz row sweeps
-  } else if (in.sparse) {
-    for (std::size_t k = 0; k < count; ++k) {
-      out[k] = Dots::sparse(L, rows == nullptr ? static_cast<std::uint32_t>(k) : rows[k], in);
+void pre_activations(const LayerView& L, std::size_t i,
+                     std::span<const data::SparseVectorView> xs, std::span<ForwardScratch> s) {
+  LayerInput in[kQueryBlock];
+  float* out[kQueryBlock];
+  if (!L.feature_major && i > 0 && s[0].layers[i - 1].active.empty() &&
+      s[0].layers[i].active.empty()) {
+    for (std::size_t q0 = 0; q0 < xs.size(); q0 += kQueryBlock) {
+      const std::size_t nq = std::min(kQueryBlock, xs.size() - q0);
+      for (std::size_t q = 0; q < nq; ++q) {
+        in[q] = input_of(xs[q0 + q], s[q0 + q], i);
+        out[q] = s[q0 + q].layers[i].act.data();
+      }
+      Dots::dense(L, nullptr, L.dim, in, out, nq, &s[q0]);
     }
-  } else {
-    Dots::dense(L, rows, count, in, out, s);
+    return;
+  }
+  for (std::size_t q = 0; q < xs.size(); ++q) {
+    in[0] = input_of(xs[q], s[q], i);
+    LayerScratch& lw = s[q].layers[i];
+    const std::uint32_t* rows = lw.active.empty() ? nullptr : lw.active.data();
+    out[0] = lw.act.data();
+    if (L.feature_major) {
+      Dots::sweep(L, in[0], out[0], s[q]);  // dense input layer: nnz row sweeps
+    } else if (in[0].sparse) {
+      for (std::size_t k = 0; k < lw.act.size(); ++k) {
+        out[0][k] = Dots::sparse(L, neuron_at(rows, k), in[0]);
+      }
+    } else {
+      Dots::dense(L, rows, lw.act.size(), in, out, 1, &s[q]);
+    }
   }
 }
 
@@ -128,74 +186,88 @@ LayerScratch::LayerScratch(std::uint64_t sampler_seed, const LayerView& layer)
   act.reserve(hint);
 }
 
+std::size_t query_block_size(std::span<const LayerView> layers, Precision precision) {
+  // A full-width query holds every layer's fp32 activations and, at Int8,
+  // the i32 dots of its widest layer.
+  std::size_t bytes = 0, widest = 0;
+  for (const LayerView& L : layers) {
+    bytes += L.dim * sizeof(float);
+    widest = std::max(widest, L.dim);
+  }
+  if (precision == Precision::Int8) bytes += widest * sizeof(std::int32_t);
+  return std::clamp<std::size_t>(kQueryBlockBytes / std::max<std::size_t>(bytes, 1), 1,
+                                 kQueryBlock);
+}
+
 bool inference_forward(std::span<const LayerView> layers, Precision precision,
-                       data::SparseVectorView x, bool sampled, ForwardScratch& s,
-                       std::size_t depth) {
+                       std::span<const data::SparseVectorView> xs, bool sampled,
+                       std::span<ForwardScratch> s, std::size_t depth) {
   const bool int8 = precision == Precision::Int8;
   const bool bf16_act = precision == Precision::Bf16Activations || precision == Precision::Bf16All;
   if (int8) {
-    // Quantize the query once against layer 0's input qparams; every row
+    // Quantize each query once against layer 0's input qparams; every row
     // then reuses the same u8 buffer.
-    s.qin.resize(x.nnz);
-    kernels::quantize_u8(x.values, s.qin.data(), x.nnz, 1.0f / layers[0].in_scale,
-                         layers[0].in_zero);
+    for (std::size_t q = 0; q < xs.size(); ++q) {
+      s[q].qin.resize(xs[q].nnz);
+      kernels::quantize_u8(xs[q].values, s[q].qin.data(), xs[q].nnz,
+                           1.0f / layers[0].in_scale, layers[0].in_zero);
+    }
   }
   depth = std::min(depth, layers.size());
   for (std::size_t i = 0; i < depth; ++i) {
     const LayerView& L = layers[i];
-    LayerScratch& lw = s.layers[i];
-    LayerInput in{true, x.indices, x.nnz, x.values, nullptr, s.qin.data()};
-    if (i > 0) {
-      const LayerScratch& pw = s.layers[i - 1];
-      in = {!pw.active.empty(), pw.active.data(), pw.active.size(), pw.act.data(),
-            pw.act16.data(), pw.act8.data()};
-    }
 
-    // --- candidate selection from the frozen tables ----------------------
-    lw.active.clear();
-    if (sampled && L.family != nullptr) {
-      if (in.sparse) {
-        L.family->hash_sparse(in.idx, in.f32, in.nnz, lw.buckets.data());
-      } else {
-        L.family->hash_dense(in.f32, lw.buckets.data());
+    // --- candidate selection from the frozen tables, query by query -------
+    for (std::size_t q = 0; q < xs.size(); ++q) {
+      LayerScratch& lw = s[q].layers[i];
+      lw.active.clear();
+      if (sampled && L.family != nullptr) {
+        const LayerInput in = input_of(xs[q], s[q], i);
+        if (in.sparse) {
+          L.family->hash_sparse(in.idx, in.f32, in.nnz, lw.buckets.data());
+        } else {
+          L.family->hash_dense(in.f32, lw.buckets.data());
+        }
+        lsh::select_active_set(*L.tables, lw.buckets.data(), {}, L.dim, L.limits, lw.sampler,
+                               lw.active);
+        if (lw.active.empty()) return false;
       }
-      lsh::select_active_set(*L.tables, lw.buckets.data(), {}, L.dim, L.limits, lw.sampler,
-                             lw.active);
-      if (lw.active.empty()) return false;
+      lw.act.resize(lw.active.empty() ? L.dim : lw.active.size());
     }
-    const std::size_t count = lw.active.empty() ? L.dim : lw.active.size();
-    lw.act.resize(count);
 
     // --- pre-activations: the precision picks the dots once per layer ----
-    const std::uint32_t* rows = lw.active.empty() ? nullptr : lw.active.data();
     switch (precision) {
       case Precision::Fp32:
-        pre_activations<F32Dots>(L, in, rows, count, lw.act.data(), s);
+        pre_activations<F32Dots>(L, i, xs, s);
         break;
       case Precision::Bf16Activations:
-        pre_activations<Bf16ActDots>(L, in, rows, count, lw.act.data(), s);
+        pre_activations<Bf16ActDots>(L, i, xs, s);
         break;
       case Precision::Bf16All:
-        pre_activations<Bf16Dots>(L, in, rows, count, lw.act.data(), s);
+        pre_activations<Bf16Dots>(L, i, xs, s);
         break;
       case Precision::Int8:
-        pre_activations<Int8Dots>(L, in, rows, count, lw.act.data(), s);
+        pre_activations<Int8Dots>(L, i, xs, s);
         break;
     }
 
     if (i + 1 == layers.size()) break;  // output logits stay raw
-    if (L.activation == Activation::ReLU) kernels::relu_f32(lw.act.data(), count);
-    // Linear hidden layers pass through.  The mirrors are what layer i+1 reads.
-    if (bf16_act) {
-      lw.act16.resize(count);
-      kernels::fp32_to_bf16(lw.act.data(), lw.act16.data(), count);
-    }
-    if (int8) {
-      // Layer i+1's qparams describe its input, i.e. this layer's output.
-      const LayerView& next = layers[i + 1];
-      lw.act8.resize(count);
-      kernels::quantize_u8(lw.act.data(), lw.act8.data(), count, 1.0f / next.in_scale,
-                           next.in_zero);
+    for (std::size_t q = 0; q < xs.size(); ++q) {
+      LayerScratch& lw = s[q].layers[i];
+      const std::size_t count = lw.act.size();
+      if (L.activation == Activation::ReLU) kernels::relu_f32(lw.act.data(), count);
+      // Linear hidden layers pass through.  The mirrors are what layer i+1 reads.
+      if (bf16_act) {
+        lw.act16.resize(count);
+        kernels::fp32_to_bf16(lw.act.data(), lw.act16.data(), count);
+      }
+      if (int8) {
+        // Layer i+1's qparams describe its input, i.e. this layer's output.
+        const LayerView& next = layers[i + 1];
+        lw.act8.resize(count);
+        kernels::quantize_u8(lw.act.data(), lw.act8.data(), count, 1.0f / next.in_scale,
+                             next.in_zero);
+      }
     }
   }
   return true;

@@ -1,10 +1,11 @@
 // The library's one inference forward pass: the Algorithm 1/2 dot products
 // (paper Sections 4.2-4.4) over every neuron, or over SLIDE's LSH-sampled
-// active sets.  Network::predict_topk (and through it the trainer's eval),
-// PackedModel's int8 calibration and InferenceEngine all run
-// inference_forward, so a frozen copy ranks exactly like the live network.
-// Training keeps its own pass (Network::forward), which forces labels into
-// the output layer's active set and normalizes with softmax.
+// active sets, for a block of queries.  Network::predict_topk (and through
+// it the trainer's eval), PackedModel's int8 calibration and
+// InferenceEngine all run inference_forward, so a frozen copy ranks exactly
+// like the live network.  Training keeps its own pass (Network::forward),
+// which forces labels into the output layer's active set and normalizes
+// with softmax.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +63,15 @@ struct LayerScratch {
   LayerScratch(std::uint64_t sampler_seed, const LayerView& layer);
 };
 
+// The neuron behind slot k of a layer's outputs: rows[k], or k when the
+// layer computed every neuron (rows == nullptr, an empty active set).
+inline std::uint32_t neuron_at(const std::uint32_t* rows, std::size_t k) {
+  return rows == nullptr ? static_cast<std::uint32_t>(k) : rows[k];
+}
+
 // One query's scratch: a LayerScratch per layer plus the int8 path's
 // query-wide buffers.  The training Workspace extends it with gradient
-// buffers; the serving engine leases one per query.
+// buffers; a block of queries runs in one per query.
 struct ForwardScratch {
   std::vector<LayerScratch> layers;
   AlignedVector<std::uint8_t> qin;     // Int8: the query's quantized values
@@ -72,15 +79,45 @@ struct ForwardScratch {
   AlignedVector<std::int32_t> wsum32;  // Int8: the input layer's zero-point weight sums
 };
 
-// Runs the first `depth` layers of `layers` on x at `precision`, leaving
-// layer i's activations in s.layers[i].act: full width over every neuron,
-// or, with `sampled`, compact over the neurons a hashed layer's frozen
-// tables select (s.layers[i].active).  The last layer's logits stay raw
+// Queries a caller runs through the pass together: the trainer's eval
+// chunk and the serving engine's dense block.  A dense layer sweeps its
+// rows once per kQueryBlock queries.
+inline constexpr std::size_t kQueryBlock = 16;
+
+// A block's full-width activations stay within this many bytes, unless one
+// query alone needs more.  A 13k-label model runs 16 queries per block; a
+// 670k-label one (2.7 MB of logits per query) runs one, so a wide model's
+// eval and serving scratch stays one query per worker.
+inline constexpr std::size_t kQueryBlockBytes = std::size_t{4} << 20;
+
+// Queries per block for `layers` at `precision`: kQueryBlock, or as many
+// (at least one) as fit kQueryBlockBytes.
+std::size_t query_block_size(std::span<const LayerView> layers, Precision precision);
+
+// Runs the first `depth` layers of `layers` on the queries xs at
+// `precision`, query q in s[q] (s.size() >= xs.size()), leaving its layer
+// i's activations in s[q].layers[i].act: full width over every neuron, or,
+// with `sampled`, compact over the neurons a hashed layer's frozen tables
+// select (s[q].layers[i].active).  The last layer's logits stay raw
 // (softmax is monotone, so rankings need no normalization); every other
-// layer applies its ReLU.  Returns false when a sampled layer's candidate
-// set came up empty; callers then rerun unsampled.
+// layer applies its ReLU.
+//
+// A layer with a dense input that computes every neuron runs the block in
+// one sweep over its rows (dot_rows_* over kQueryBlock queries at a time);
+// feature-major, sparse-input and sampled layers run query by query.
+// Either way query q's results are bit for bit those of a block of one.
+// Returns false when a sampled layer's candidate set came up empty for some
+// query; callers then rerun unsampled.
 bool inference_forward(std::span<const LayerView> layers, Precision precision,
-                       data::SparseVectorView x, bool sampled, ForwardScratch& s,
+                       std::span<const data::SparseVectorView> xs, bool sampled,
+                       std::span<ForwardScratch> s,
                        std::size_t depth = std::numeric_limits<std::size_t>::max());
+
+// One query: a block of one.
+inline bool inference_forward(std::span<const LayerView> layers, Precision precision,
+                              data::SparseVectorView x, bool sampled, ForwardScratch& s,
+                              std::size_t depth = std::numeric_limits<std::size_t>::max()) {
+  return inference_forward(layers, precision, {&x, 1}, sampled, {&s, 1}, depth);
+}
 
 }  // namespace slide

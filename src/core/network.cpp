@@ -8,21 +8,11 @@
 #include "util/rng.h"
 
 namespace slide {
-namespace {
 
-// The neuron behind slot k of a layer's outputs: rows[k], or k when the
-// layer computed every neuron (rows == nullptr).
-std::uint32_t neuron_at(const std::uint32_t* rows, std::size_t k) {
-  return rows == nullptr ? static_cast<std::uint32_t>(k) : rows[k];
-}
-
-}  // namespace
-
-Workspace::Workspace(const Network& net, std::uint64_t seed) {
-  layers.reserve(net.num_layers());
+Workspace::Workspace(const Network& net, std::uint64_t seed)
+    : ForwardScratch(net.make_forward_scratch(seed)) {
   grads.resize(net.num_layers());
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    layers.emplace_back(mix64(seed, i, 0x5A3D1E5ull), net.layer(i).view());
     grads[i].grad.reserve(layers[i].act.capacity());
   }
 }
@@ -40,6 +30,17 @@ Network::Network(NetworkConfig cfg) : cfg_(std::move(cfg)) {
     prev = cfg_.layers[i].dim;
   }
   rebuild_hash_tables(&pool);
+  views_.reserve(layers_.size());
+  for (const Layer& L : layers_) views_.push_back(L.view());
+}
+
+ForwardScratch Network::make_forward_scratch(std::uint64_t seed) const {
+  ForwardScratch s;
+  s.layers.reserve(views_.size());
+  for (std::size_t i = 0; i < views_.size(); ++i) {
+    s.layers.emplace_back(mix64(seed, i, 0x5A3D1E5ull), views_[i]);
+  }
+  return s;
 }
 
 std::size_t Network::num_params() const {
@@ -229,14 +230,19 @@ void Network::rebuild_hash_tables(ThreadPool* pool) {
   for (auto& L : layers_) L.rebuild_tables(pool);
 }
 
+void Network::predict_topk(std::span<const data::SparseVectorView> xs, std::size_t k,
+                           std::span<ForwardScratch> s,
+                           std::span<std::vector<std::uint32_t>> out) const {
+  inference_forward(views_, cfg_.precision, xs, /*sampled=*/false, s);
+  for (std::size_t q = 0; q < xs.size(); ++q) {
+    const auto& logits = s[q].layers.back().act;
+    topk_indices(logits.data(), logits.size(), k, out[q]);
+  }
+}
+
 void Network::predict_topk(data::SparseVectorView x, std::size_t k, Workspace& ws,
                            std::vector<std::uint32_t>& out) const {
-  std::vector<LayerView> views;
-  views.reserve(layers_.size());
-  for (const Layer& L : layers_) views.push_back(L.view());
-  inference_forward(views, cfg_.precision, x, /*sampled=*/false, ws);
-  const auto& logits = ws.layers.back().act;
-  topk_indices(logits.data(), logits.size(), k, out);
+  predict_topk({&x, 1}, k, {static_cast<ForwardScratch*>(&ws), 1}, {&out, 1});
 }
 
 }  // namespace slide

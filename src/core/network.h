@@ -51,8 +51,13 @@ class Network {
   std::size_t input_dim() const { return cfg_.input_dim; }
   std::size_t output_dim() const { return layers_.back().dim(); }
   std::size_t num_params() const;
+  // The layers as the inference pass reads them (core/inference.h).
+  std::span<const LayerView> views() const { return views_; }
 
   Workspace make_workspace(std::uint64_t seed = 0) const { return Workspace(*this, seed); }
+  // One query's inference scratch (a Workspace without the gradient
+  // buffers); `seed` seeds its samplers as make_workspace's does.
+  ForwardScratch make_forward_scratch(std::uint64_t seed = 0) const;
 
   // Sparse forward pass.  In training mode the example's labels are forced
   // into the output layer's active set (they occupy the first labels.size()
@@ -77,9 +82,14 @@ class Network {
   // Forces an immediate rebuild of all hash tables.
   void rebuild_hash_tables(ThreadPool* pool);
 
-  // Full (dense) inference through the shared pass (core/inference.h):
-  // evaluates every output neuron and fills `out` with the k best, best
-  // first.  The raw logits stay in ws.layers.back().act.  Used for P@k.
+  // Full (dense) inference through the shared pass (core/inference.h) for
+  // a block of queries: evaluates every output neuron and fills out[q] with
+  // the k best for xs[q], best first; query q runs in s[q], and its raw
+  // logits stay in s[q].layers.back().act.  Used for P@k.
+  void predict_topk(std::span<const data::SparseVectorView> xs, std::size_t k,
+                    std::span<ForwardScratch> s,
+                    std::span<std::vector<std::uint32_t>> out) const;
+  // One query: a block of one.
   void predict_topk(data::SparseVectorView x, std::size_t k, Workspace& ws,
                     std::vector<std::uint32_t>& out) const;
 
@@ -89,6 +99,9 @@ class Network {
  private:
   NetworkConfig cfg_;
   std::vector<Layer> layers_;
+  // Built once: layers_ never reallocates, nor do the arenas and tables the
+  // views point into (moving the Network keeps them in place).
+  std::vector<LayerView> views_;
   std::uint64_t adam_t_ = 0;
 };
 

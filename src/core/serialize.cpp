@@ -4,6 +4,7 @@
 #include <fstream>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/serialize_io.h"
@@ -84,6 +85,29 @@ Network load_network(std::istream& in) {
   const std::uint64_t num_layers = read_pod<std::uint64_t>(in);
   for (std::uint64_t i = 0; i < num_layers; ++i) cfg.layers.push_back(read_layer_config(in));
   const bool has_moments = read_pod<std::uint8_t>(in) != 0;
+
+  // The arenas the header declares must be in the stream before
+  // Network(cfg) allocates (and initializes) them.
+  const std::uint64_t left = io::bytes_left(in);
+  const std::uint64_t w_bytes = cfg.precision == Precision::Bf16All ? 2 : 4;
+  std::uint64_t declared = 0;
+  std::uint64_t prev = cfg.input_dim;
+  for (std::size_t i = 0; i < cfg.layers.size(); ++i) {
+    const std::uint64_t dim = cfg.layers[i].dim;
+    const std::uint64_t weights = io::mul_sat(dim, prev);
+    std::uint64_t bytes = io::add_sat(io::mul_sat(weights, w_bytes), io::mul_sat(dim, 4));
+    if (has_moments) {
+      bytes = io::add_sat(bytes, io::add_sat(io::mul_sat(weights, 8), io::mul_sat(dim, 8)));
+    }
+    declared = io::add_sat(declared, bytes);
+    if (declared > left) {
+      throw std::runtime_error("checkpoint: layer " + std::to_string(i) + " (" +
+                               std::to_string(dim) + " x " + std::to_string(prev) +
+                               ") needs more bytes than the stream holds (" +
+                               std::to_string(left) + " left)");
+    }
+    prev = dim;
+  }
 
   Network net(cfg);
   for (std::size_t i = 0; i < net.num_layers(); ++i) {

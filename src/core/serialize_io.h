@@ -42,6 +42,31 @@ void read_array(std::istream& in, T* data, std::size_t count) {
   if (!in) throw std::runtime_error("checkpoint: truncated array");
 }
 
+// Byte counts derived from sizes a file declares saturate at UINT64_MAX
+// instead of wrapping, so an absurd declaration never looks small.
+inline std::uint64_t mul_sat(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  return __builtin_mul_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+inline std::uint64_t add_sat(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  return __builtin_add_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+
+// Bytes between the read position and the end of `in`, or UINT64_MAX when
+// the stream cannot seek (a pipe).  The loaders compare what a header
+// declares against it before allocating anything the header sizes.
+inline std::uint64_t bytes_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return UINT64_MAX;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1) || end < here) return UINT64_MAX;
+  return static_cast<std::uint64_t>(end - here);
+}
+
 // Size of one serialized LayerConfig record (the fields written below, in
 // order).  The SLDP v2 reader reads this many raw bytes so it can checksum
 // the record before parsing it; keep it in sync with

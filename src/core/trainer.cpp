@@ -356,20 +356,31 @@ double Trainer::train_one_epoch(data::StreamingDataset& train_stream) {
 
 double Trainer::evaluate_p_at_k(const data::Dataset& test_set, std::size_t k,
                                 std::size_t max_examples) {
-  ensure_workspaces();
   ThreadPool& pool = global_pool();
   const std::size_t n = max_examples == 0 ? test_set.size()
                                           : std::min(test_set.size(), max_examples);
   if (n == 0 || k == 0) return 0.0;
+  const std::size_t block = query_block_size(net_.views(), net_.precision());
+  while (eval_blocks_.size() < pool.size()) {
+    EvalBlock& b = eval_blocks_.emplace_back();
+    for (std::size_t q = 0; q < block; ++q) b.scratch.push_back(net_.make_forward_scratch());
+    b.topk.resize(block);
+  }
 
   std::vector<CacheAligned<double>> partials(pool.size());
-  pool.parallel_for_dynamic(n, 16, [&](unsigned rank, std::size_t lo, std::size_t hi) {
-    Workspace& ws = workspaces_[rank];
-    std::vector<std::uint32_t> topk;
+  pool.parallel_for_dynamic(n, kQueryBlock, [&](unsigned rank, std::size_t lo, std::size_t hi) {
+    EvalBlock& b = eval_blocks_[rank];
+    data::SparseVectorView xs[kQueryBlock];
     double local = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      net_.predict_topk(test_set.features(i), k, ws, topk);
-      local += precision_at_k(topk, test_set.labels(i));
+    // A chunk is one block, unless the model is too wide for kQueryBlock
+    // queries or a reentrant call ran the whole range here.
+    for (std::size_t b0 = lo; b0 < hi; b0 += block) {
+      const std::size_t m = std::min(block, hi - b0);
+      for (std::size_t q = 0; q < m; ++q) xs[q] = test_set.features(b0 + q);
+      net_.predict_topk({xs, m}, k, {b.scratch.data(), m}, {b.topk.data(), m});
+      for (std::size_t q = 0; q < m; ++q) {
+        local += precision_at_k(b.topk[q], test_set.labels(b0 + q));
+      }
     }
     partials[rank].value += local;
   });

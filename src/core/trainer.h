@@ -95,7 +95,9 @@ class Trainer {
   double train_one_epoch(data::StreamingDataset& train_stream);
 
   // Mean P@k (|top-k ∩ labels| / k, the extreme-classification convention)
-  // over (up to max_examples of) the test set via Network::predict_topk.
+  // over (up to max_examples of) the test set via Network::predict_topk,
+  // each pool chunk of kQueryBlock examples running as one query block (as
+  // several when query_block_size caps a wide model's block).
   double evaluate_p_at_k(const data::Dataset& test_set, std::size_t k,
                          std::size_t max_examples = 0);
   double evaluate_p_at_1(const data::Dataset& test_set, std::size_t max_examples = 0) {
@@ -127,6 +129,13 @@ class Trainer {
   Network& net_;
   TrainerConfig cfg_;
   std::vector<Workspace> workspaces_;  // one per pool worker rank
+  // Eval state per pool worker rank: a scratch and a top-k list for each
+  // query of a block (core/inference.h's query_block_size).
+  struct EvalBlock {
+    std::vector<ForwardScratch> scratch;
+    std::vector<std::vector<std::uint32_t>> topk;
+  };
+  std::vector<EvalBlock> eval_blocks_;
   double last_avg_loss_ = 0.0;
   std::uint64_t epoch_counter_ = 0;
   StreamStats stream_stats_;

@@ -12,6 +12,7 @@ InferenceEngine::InferenceEngine(const PackedModel& model, std::uint64_t seed)
   for (std::size_t i = 0; i < model_.num_layers(); ++i) {
     views_.push_back(model_.layer(i).view());
   }
+  block_ = query_block_size(views_, model_.precision());
 }
 
 std::unique_ptr<InferenceEngine::Scratch> InferenceEngine::acquire_scratch() {
@@ -23,12 +24,9 @@ std::unique_ptr<InferenceEngine::Scratch> InferenceEngine::acquire_scratch() {
       return s;
     }
   }
-  const std::uint64_t seq = scratch_seq_.fetch_add(1, std::memory_order_relaxed);
   auto s = std::make_unique<Scratch>();
-  s->layers.reserve(views_.size());
-  for (std::size_t i = 0; i < views_.size(); ++i) {
-    s->layers.emplace_back(mix64(seed_, seq, i), views_[i]);
-  }
+  s->seq = scratch_seq_.fetch_add(1, std::memory_order_relaxed);
+  reserve_queries(*s, 1);
   return s;
 }
 
@@ -37,17 +35,30 @@ void InferenceEngine::release_scratch(std::unique_ptr<Scratch> s) {
   free_.push_back(std::move(s));
 }
 
-void InferenceEngine::forward(data::SparseVectorView x, TopKMode mode, Scratch& s) {
-  const Precision precision = model_.precision();
-  if (mode == TopKMode::Sampled && inference_forward(views_, precision, x, /*sampled=*/true, s)) {
-    return;
+void InferenceEngine::reserve_queries(Scratch& s, std::size_t n) const {
+  while (s.queries.size() < n) {
+    // Slot 0 keeps the (seed, lease) sampler streams; only it ever samples.
+    const std::uint64_t slot_seed = seed_ + s.queries.size();
+    ForwardScratch& f = s.queries.emplace_back();
+    f.layers.reserve(views_.size());
+    for (std::size_t i = 0; i < views_.size(); ++i) {
+      f.layers.emplace_back(mix64(slot_seed, s.seq, i), views_[i]);
+    }
   }
-  inference_forward(views_, precision, x, /*sampled=*/false, s);
 }
 
-void InferenceEngine::emit_topk(Scratch& s, std::size_t k, std::vector<std::uint32_t>& ids,
-                                std::vector<float>* scores) {
-  const LayerScratch& out = s.layers.back();
+void InferenceEngine::forward(data::SparseVectorView x, TopKMode mode, Scratch& s) {
+  const Precision precision = model_.precision();
+  ForwardScratch& f = s.queries[0];
+  if (mode == TopKMode::Sampled && inference_forward(views_, precision, x, /*sampled=*/true, f)) {
+    return;
+  }
+  inference_forward(views_, precision, x, /*sampled=*/false, f);
+}
+
+void InferenceEngine::emit_topk(Scratch& s, std::size_t q, std::size_t k,
+                                std::vector<std::uint32_t>& ids, std::vector<float>* scores) {
+  const LayerScratch& out = s.queries[q].layers.back();
   if (out.active.empty()) {
     topk_indices(out.act.data(), out.act.size(), k, ids);
   } else {
@@ -72,7 +83,7 @@ void InferenceEngine::predict_topk(data::SparseVectorView x, std::size_t k,
                                    std::vector<float>* scores) {
   Lease lease(*this);
   forward(x, mode, *lease);
-  emit_topk(*lease, k, ids, scores);
+  emit_topk(*lease, 0, k, ids, scores);
 }
 
 void InferenceEngine::predict_topk_batch(std::span<const data::SparseVectorView> xs,
@@ -88,9 +99,9 @@ void InferenceEngine::predict_topk_batch(std::span<const data::SparseVectorView>
     Scratch& s = *lease;
     std::vector<std::uint32_t> ids;
     std::vector<float> scores;
-    for (std::size_t q = lo; q < hi; ++q) {
-      forward(xs[q], mode, s);
-      emit_topk(s, k, ids, out_scores != nullptr ? &scores : nullptr);
+    // Query q's row of the outputs from slot `slot`, then its hook.
+    const auto finish = [&](std::size_t q, std::size_t slot) {
+      emit_topk(s, slot, k, ids, out_scores != nullptr ? &scores : nullptr);
       std::uint32_t* row = out_ids + q * k;
       std::copy(ids.begin(), ids.end(), row);
       std::fill(row + ids.size(), row + k, kInvalidId);
@@ -100,6 +111,22 @@ void InferenceEngine::predict_topk_batch(std::span<const data::SparseVectorView>
         std::fill(srow + scores.size(), srow + k, 0.0f);
       }
       if (on_query_done) on_query_done(q);
+    };
+    if (mode == TopKMode::Sampled) {
+      for (std::size_t q = lo; q < hi; ++q) {
+        forward(xs[q], mode, s);
+        finish(q, 0);
+      }
+      return;
+    }
+    // Dense: the chunk runs as query blocks (one, unless the pool handed
+    // this worker more than block_ queries).
+    for (std::size_t b = lo; b < hi; b += block_) {
+      const std::size_t m = std::min(block_, hi - b);
+      reserve_queries(s, m);
+      inference_forward(views_, model_.precision(), xs.subspan(b, m), /*sampled=*/false,
+                        std::span(s.queries).first(m));
+      for (std::size_t q = 0; q < m; ++q) finish(b + q, q);
     }
   };
 
@@ -111,7 +138,8 @@ void InferenceEngine::predict_topk_batch(std::span<const data::SparseVectorView>
   }
   // Grain adapts to the batch: serving-sized batches (say 8 queries on 8
   // workers) split all the way down so tail latency scales with the pool,
-  // while eval-sized batches keep chunky grains that amortize the lease.
+  // while eval-sized batches keep chunky grains that amortize the lease
+  // and, in Dense mode, the row sweep (each chunk is one query block).
   const std::size_t grain =
       std::clamp<std::size_t>(xs.size() / (2 * std::size_t{pool->size()}), 1, 8);
   pool->parallel_for_dynamic(xs.size(), grain,

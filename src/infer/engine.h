@@ -1,20 +1,24 @@
 // Thread-safe, batched serving front end over a PackedModel.
 //
-// The engine owns a pool of per-query scratch buffers (activations, active
-// sets, sampler state: the ForwardScratch of core/inference.h).  Every
-// query leases one, so any number of caller threads can issue queries
-// concurrently against the same immutable model; the batch entry point fans
-// a whole query batch out over the thread pool with one lease per worker
-// chunk.
+// The engine owns a pool of scratch leases (activations, active sets,
+// sampler state: one ForwardScratch of core/inference.h per query of a
+// block).  Every query or worker chunk leases one, so any number of caller
+// threads can issue queries concurrently against the same immutable model;
+// the batch entry point fans a whole query batch out over the thread pool
+// with one lease per worker chunk.
 //
 // Both ranking modes run the library's one inference pass
 // (inference_forward), the code Network::predict_topk and the trainer's
 // eval run too:
 //   Dense    every output neuron is evaluated through the blocked
 //            dot_rows_* kernels: exact, and bit-identical to
-//            Network::predict_topk on the same frozen weights.
+//            Network::predict_topk on the same frozen weights.  A batch
+//            runs each worker chunk as one query block (kQueryBlock
+//            queries at most, fewer for a model too wide for
+//            kQueryBlockBytes), so each weight row is loaded once per block.
 //   Sampled  the frozen LSH tables pick a candidate set first (SLIDE's
 //            sublinear inference); top-k is taken over the candidates only.
+//            Candidate sets differ per query, so a batch runs query by query.
 // Scores are raw pre-softmax logits in both modes (softmax is monotone, so
 // the ranking is unchanged).
 #pragma once
@@ -58,8 +62,9 @@ class InferenceEngine {
   // Per-query completion hook for the batch path: invoked with the query's
   // index exactly once, as soon as that query's output row is final — i.e.
   // before the rest of the batch finishes (the partial-batch path the
-  // serving layer uses to complete request futures early).  Runs on
-  // whichever pool worker served the query; must be thread-safe.
+  // serving layer uses to complete request futures early).  A Sampled query
+  // is final when it finishes, a Dense one when its query block does.  Runs
+  // on whichever pool worker served the query; must be thread-safe.
   using BatchCompletionFn = std::function<void(std::size_t query)>;
 
   // Serves xs.size() queries, fanning out over `pool` (the global pool when
@@ -74,7 +79,11 @@ class InferenceEngine {
                           const BatchCompletionFn& on_query_done = {});
 
  private:
-  struct Scratch : ForwardScratch {
+  struct Scratch {
+    std::uint64_t seq = 0;  // which lease this is: seeds its samplers
+    // One per query of a Dense block, added as blocks need them; queries[0]
+    // also serves single and Sampled queries.
+    std::vector<ForwardScratch> queries;
     std::vector<std::uint32_t> topk;
   };
   // RAII lease: returns the scratch to the freelist on destruction.
@@ -93,18 +102,22 @@ class InferenceEngine {
 
   std::unique_ptr<Scratch> acquire_scratch();
   void release_scratch(std::unique_ptr<Scratch> s);
+  // Gives a lease at least n query slots.
+  void reserve_queries(Scratch& s, std::size_t n) const;
 
-  // Runs the inference pass, leaving the output logits in the last layer's
-  // scratch: compact over `active` in sampled mode, full-width otherwise.
-  // A sampled pass whose candidate set comes up empty in some layer (possible
-  // when min_active == 0 and every probed bucket is empty) falls back to the
-  // exact full-width pass.
+  // Runs the inference pass on one query in s.queries[0], leaving the output
+  // logits in the last layer's scratch: compact over `active` in sampled
+  // mode, full-width otherwise.  A sampled pass whose candidate set comes up
+  // empty in some layer (possible when min_active == 0 and every probed
+  // bucket is empty) falls back to the exact full-width pass.
   void forward(data::SparseVectorView x, TopKMode mode, Scratch& s);
-  void emit_topk(Scratch& s, std::size_t k, std::vector<std::uint32_t>& ids,
-                 std::vector<float>* scores);
+  // Query slot q's top k (ids, and optionally scores) from its logits.
+  static void emit_topk(Scratch& s, std::size_t q, std::size_t k,
+                        std::vector<std::uint32_t>& ids, std::vector<float>* scores);
 
   const PackedModel& model_;
   std::vector<LayerView> views_;  // one per model layer
+  std::size_t block_ = 1;         // queries per Dense block (query_block_size)
   std::uint64_t seed_;
   std::atomic<std::uint64_t> scratch_seq_{0};
   std::mutex mutex_;

@@ -426,6 +426,25 @@ PackedModel PackedModel::load(std::istream& in) {
         throw ModelIntegrityError("packed model: zero-width " + which);
       }
       prev = L.dim;
+      // Everything this layer stores must be in the stream before any of
+      // it is allocated: biases, the weight arena, int8's scales and
+      // qparams, and v2+'s two section checksums.
+      const std::uint64_t elem = pm.precision_ == Precision::Bf16All ? 2
+                                 : pm.precision_ == Precision::Int8  ? 1
+                                                                     : 4;
+      std::uint64_t declared = io::add_sat(
+          io::mul_sat(io::mul_sat(L.dim, L.input_dim), elem), io::mul_sat(L.dim, 4));
+      if (pm.precision_ == Precision::Int8) {
+        declared = io::add_sat(declared, io::add_sat(io::mul_sat(L.dim, 4), 8));
+      }
+      if (checked) declared = io::add_sat(declared, 8);
+      const std::uint64_t left = io::bytes_left(in);
+      if (declared > left) {
+        throw ModelIntegrityError("packed model: " + which + " (" + std::to_string(L.dim) +
+                                  " x " + std::to_string(L.input_dim) +
+                                  ") needs more bytes than the stream holds (" +
+                                  std::to_string(left) + " left)");
+      }
       L.bias.resize(L.dim);
       io::read_array(in, L.bias.data(), L.dim);
       if (checked) {

@@ -13,6 +13,12 @@
 // Kernel inventory and the paper mechanism each one implements:
 //   dot_f32 / dot_bf16_*      Algorithm 1 (dense x, row-major W): dense inner
 //                             product, 16 (fp32) or 32 (bf16) lanes per op.
+//   dot_rows_*                Algorithm 1 over many rows and a block of
+//                             queries: a 4-row x 4-query register tile, so
+//                             each x load feeds 4 rows and each row load 4
+//                             queries; a one-query call (nq = 1) runs the
+//                             plain 4-row loop, with bit-identical results
+//                             (the scalar tier runs blocks query by query).
 //   sparse_dot_*              Algorithm 1 applied to a sparse input vector via
 //                             AVX-512 gathers (input layer of SLIDE).
 //   axpy_*                    Algorithm 2 (sparse x, column-major W): each
@@ -97,16 +103,22 @@ struct KernelTable {
                          float beta1, float beta2, float eps, float inv_bias1,
                          float inv_bias2);
 
-  // Multi-row dots: out[r] = <row(r), x> where row(r) = w + rows[r]*ld
-  // (rows == nullptr means consecutive rows 0..nrows-1).  The AVX-512
-  // backend blocks 4 rows per pass so each x load feeds 4 FMAs — the
-  // batched form of Algorithm 1 used by the layer forward pass.
+  // Multi-row dots over a query block: out[q][r] = <row(r), x[q]> for q in
+  // [0, nq) (nq >= 1), where row(r) = w + rows[r]*ld (rows == nullptr means
+  // consecutive rows 0..nrows-1) and x[q], out[q] are query q's n inputs and
+  // nrows outputs.  Rows go 4 per pass so each x load feeds 4 FMAs — the
+  // batched form of Algorithm 1 — and each loaded row vector feeds 4
+  // queries.  Every (row, query) dot is computed exactly as a one-query
+  // call computes it, so out[q] never depends on the rest of the block.
   void (*dot_rows_f32)(const float* w, std::size_t ld, const std::uint32_t* rows,
-                       std::size_t nrows, const float* x, std::size_t n, float* out);
+                       std::size_t nrows, const float* const* x, std::size_t nq,
+                       std::size_t n, float* const* out);
   void (*dot_rows_wf32_xbf16)(const float* w, std::size_t ld, const std::uint32_t* rows,
-                              std::size_t nrows, const bf16* x, std::size_t n, float* out);
+                              std::size_t nrows, const bf16* const* x, std::size_t nq,
+                              std::size_t n, float* const* out);
   void (*dot_rows_wbf16_xbf16)(const bf16* w, std::size_t ld, const std::uint32_t* rows,
-                               std::size_t nrows, const bf16* x, std::size_t n, float* out);
+                               std::size_t nrows, const bf16* const* x, std::size_t nq,
+                               std::size_t n, float* const* out);
   // For r in [0, nrows), in r order, skipping rows with g[r] == 0:
   // gw[row(r)] += g[r] * x and xgrad += g[r] * w[row(r)] over n columns,
   // with row(r) = rows[r] * ld as in dot_rows_f32 (the gradient arena gw
@@ -139,10 +151,11 @@ struct KernelTable {
   void (*sparse_dot_u8s8)(const std::uint32_t* idx, const std::uint8_t* val,
                           std::size_t nnz, const std::int8_t* w, std::int32_t* dot,
                           std::int32_t* wsum);
-  // out[r] = <row(r), x> in i32; same row addressing as dot_rows_f32.
+  // out[q][r] = <row(r), x[q]> in i32; same rows and query block as
+  // dot_rows_f32.
   void (*dot_rows_u8s8)(const std::int8_t* w, std::size_t ld, const std::uint32_t* rows,
-                        std::size_t nrows, const std::uint8_t* x, std::size_t n,
-                        std::int32_t* out);
+                        std::size_t nrows, const std::uint8_t* const* x, std::size_t nq,
+                        std::size_t n, std::int32_t* const* out);
   // Feature-major twin of sparse_dot_u8s8: for j in [0, n),
   // dot[j] = sum_k val[k] * w[idx[k]*ld + j] and wsum[j] = sum_k w[idx[k]*ld + j]
   // — per column j, exactly the integers sparse_dot_u8s8 returns for the
@@ -273,19 +286,35 @@ inline void adam_step_bf16(bf16* w, float* m, float* v, float* g, std::size_t n,
   detail::active_table()->adam_step_bf16(w, m, v, g, n, lr, beta1, beta2, eps, inv_bias1,
                                          inv_bias2);
 }
+// One query (x, out) or a block of nq (x[q], out[q]); see KernelTable.
 inline void dot_rows_f32(const float* w, std::size_t ld, const std::uint32_t* rows,
                          std::size_t nrows, const float* x, std::size_t n, float* out) {
-  detail::active_table()->dot_rows_f32(w, ld, rows, nrows, x, n, out);
+  detail::active_table()->dot_rows_f32(w, ld, rows, nrows, &x, 1, n, &out);
+}
+inline void dot_rows_f32(const float* w, std::size_t ld, const std::uint32_t* rows,
+                         std::size_t nrows, const float* const* x, std::size_t nq,
+                         std::size_t n, float* const* out) {
+  detail::active_table()->dot_rows_f32(w, ld, rows, nrows, x, nq, n, out);
 }
 inline void dot_rows_wf32_xbf16(const float* w, std::size_t ld, const std::uint32_t* rows,
                                 std::size_t nrows, const bf16* x, std::size_t n,
                                 float* out) {
-  detail::active_table()->dot_rows_wf32_xbf16(w, ld, rows, nrows, x, n, out);
+  detail::active_table()->dot_rows_wf32_xbf16(w, ld, rows, nrows, &x, 1, n, &out);
+}
+inline void dot_rows_wf32_xbf16(const float* w, std::size_t ld, const std::uint32_t* rows,
+                                std::size_t nrows, const bf16* const* x, std::size_t nq,
+                                std::size_t n, float* const* out) {
+  detail::active_table()->dot_rows_wf32_xbf16(w, ld, rows, nrows, x, nq, n, out);
 }
 inline void dot_rows_wbf16_xbf16(const bf16* w, std::size_t ld, const std::uint32_t* rows,
                                  std::size_t nrows, const bf16* x, std::size_t n,
                                  float* out) {
-  detail::active_table()->dot_rows_wbf16_xbf16(w, ld, rows, nrows, x, n, out);
+  detail::active_table()->dot_rows_wbf16_xbf16(w, ld, rows, nrows, &x, 1, n, &out);
+}
+inline void dot_rows_wbf16_xbf16(const bf16* w, std::size_t ld, const std::uint32_t* rows,
+                                 std::size_t nrows, const bf16* const* x, std::size_t nq,
+                                 std::size_t n, float* const* out) {
+  detail::active_table()->dot_rows_wbf16_xbf16(w, ld, rows, nrows, x, nq, n, out);
 }
 inline void backward_rows_f32(const float* w, float* gw, std::size_t ld,
                               const std::uint32_t* rows, const float* g, std::size_t nrows,
@@ -321,7 +350,12 @@ inline void sparse_dot_u8s8(const std::uint32_t* idx, const std::uint8_t* val,
 inline void dot_rows_u8s8(const std::int8_t* w, std::size_t ld, const std::uint32_t* rows,
                           std::size_t nrows, const std::uint8_t* x, std::size_t n,
                           std::int32_t* out) {
-  detail::active_table()->dot_rows_u8s8(w, ld, rows, nrows, x, n, out);
+  detail::active_table()->dot_rows_u8s8(w, ld, rows, nrows, &x, 1, n, &out);
+}
+inline void dot_rows_u8s8(const std::int8_t* w, std::size_t ld, const std::uint32_t* rows,
+                          std::size_t nrows, const std::uint8_t* const* x, std::size_t nq,
+                          std::size_t n, std::int32_t* const* out) {
+  detail::active_table()->dot_rows_u8s8(w, ld, rows, nrows, x, nq, n, out);
 }
 inline void sparse_axpy_rows_u8s8(const std::uint32_t* idx, const std::uint8_t* val,
                                   std::size_t nnz, const std::int8_t* w, std::size_t ld,

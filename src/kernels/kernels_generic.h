@@ -413,20 +413,47 @@ struct GenericKernels {
     adam_step_any(w, m, v, g, n, lr, beta1, beta2, eps, inv_bias1, inv_bias2);
   }
 
-  // --- multi-row dots -------------------------------------------------------
-  // Four rows per pass: each load of x feeds four FMAs, quadrupling the
-  // arithmetic intensity on the activation vector relative to row-at-a-time
-  // dots — the batched form of Algorithm 1 used by the layer forward pass.
+  // --- multi-row dots over a query block ---------------------------------------
+  // out[q][r] = <row(r), x[q]> for nq queries.  Rows go four at a time, so
+  // each load of x feeds four FMAs (the batched form of Algorithm 1).  A
+  // block of queries also goes four at a time within each group of four
+  // rows, so each loaded row vector feeds four queries: a 4-row x 4-query
+  // register tile, the nq % 4 leftover queries taking 4 x 1 tiles.  Every
+  // (row, query) dot keeps the one-query arithmetic (one accumulator per row
+  // of a four-row group, dot_any's two for the nrows % 4 leftover rows, the
+  // same tail and S::reduce_add), so a query's results do not depend on its
+  // block.
 
   template <class T>
   static T* row_ptr(T* w, std::size_t ld, const std::uint32_t* rows, std::size_t r) {
     return w + (rows != nullptr ? rows[r] : r) * ld;
   }
 
+  // One query: the four-row loop.  Kept out of line: inlined beside the
+  // block path, it lost the row pointers' registers and ran up to 20% slower
+  // on cache-resident rows.  At W == 1 with fp32 inputs the compiler packs a
+  // four-row group's sums into one SSE register and adds into it serially,
+  // 24-36% slower than the pairs it builds for two rows, so that case goes
+  // two rows per pass (each row's sum keeps its order).  bf16 inputs keep
+  // four rows, so each widened x element serves four rows.
   template <class TW, class TX>
-  static void dot_rows_any(const TW* w, std::size_t ld, const std::uint32_t* rows,
-                           std::size_t nrows, const TX* x, std::size_t n, float* out) {
+  [[gnu::noinline]] static void dot_rows_one(const TW* w, std::size_t ld,
+                                             const std::uint32_t* rows, std::size_t nrows,
+                                             const TX* x, std::size_t n, float* out) {
     std::size_t r = 0;
+    if constexpr (W == 1 && std::is_same_v<TX, float>) {
+      for (; r + 2 <= nrows; r += 2) {
+        const TW* w0 = row_ptr(w, ld, rows, r + 0);
+        const TW* w1 = row_ptr(w, ld, rows, r + 1);
+        vf a0 = S::zero(), a1 = S::zero();
+        for (std::size_t i = 0; i < n; ++i) {
+          a0 = S::fmadd(load_elems(w0 + i), x[i], a0);
+          a1 = S::fmadd(load_elems(w1 + i), x[i], a1);
+        }
+        out[r + 0] = a0;
+        out[r + 1] = a1;
+      }
+    }
     for (; r + 4 <= nrows; r += 4) {
       const TW* w0 = row_ptr(w, ld, rows, r + 0);
       const TW* w1 = row_ptr(w, ld, rows, r + 1);
@@ -457,19 +484,85 @@ struct GenericKernels {
     for (; r < nrows; ++r) out[r] = dot_any(x, row_ptr(w, ld, rows, r), n);
   }
 
+  // Four queries per tile on every vector tier.  AVX2's 16 registers cannot
+  // hold the tile's 21 live vectors, yet over a 13401 x 128 arena the
+  // spilling tile still beats one query at a time on every kernel (fp32:
+  // 247 -> 73 us per query at nq = 16) and a 4 x 2 tile is no faster.  The
+  // scalar tier runs a block query by query: its tiles ran fp32 blocks
+  // slower than single queries.
+  static constexpr std::size_t kQueryTile = 4;
+
+  // Rows w[0..3] (row r..r+3 of the call) against queries x[0..Q).
+  template <std::size_t Q, class TW, class TX>
+  [[gnu::always_inline]] static void dot_rows_tile(const TW* const* w, const TX* const* x,
+                                                   std::size_t n, float* const* out,
+                                                   std::size_t r) {
+    vf a[4][Q];
+    for (auto& row : a) {
+      for (vf& acc : row) acc = S::zero();
+    }
+    // Each x vector is loaded (and widened) once and used 4x, each row
+    // vector once and used Q times.
+    vf xv[Q];
+    std::size_t i = 0;
+    for (; i + W <= n; i += W) {
+      for (std::size_t q = 0; q < Q; ++q) xv[q] = load_elems(x[q] + i);
+      for (std::size_t k = 0; k < 4; ++k) {
+        const vf wv = load_elems(w[k] + i);
+        for (std::size_t q = 0; q < Q; ++q) a[k][q] = S::fmadd(wv, xv[q], a[k][q]);
+      }
+    }
+    if (i < n) {
+      const std::size_t rem = n - i;
+      for (std::size_t q = 0; q < Q; ++q) xv[q] = load_elems_partial(x[q] + i, rem);
+      for (std::size_t k = 0; k < 4; ++k) {
+        const vf wv = load_elems_partial(w[k] + i, rem);
+        for (std::size_t q = 0; q < Q; ++q) a[k][q] = S::fmadd(wv, xv[q], a[k][q]);
+      }
+    }
+    for (std::size_t q = 0; q < Q; ++q) {
+      for (std::size_t k = 0; k < 4; ++k) out[q][r + k] = S::reduce_add(a[k][q]);
+    }
+  }
+
+  template <class TW, class TX>
+  static void dot_rows_any(const TW* w, std::size_t ld, const std::uint32_t* rows,
+                           std::size_t nrows, const TX* const* x, std::size_t nq,
+                           std::size_t n, float* const* out) {
+    if (W == 1 || nq == 1) {
+      for (std::size_t q = 0; q < nq; ++q) dot_rows_one(w, ld, rows, nrows, x[q], n, out[q]);
+      return;
+    }
+    std::size_t r = 0;
+    for (; r + 4 <= nrows; r += 4) {
+      const TW* w4[4] = {row_ptr(w, ld, rows, r), row_ptr(w, ld, rows, r + 1),
+                         row_ptr(w, ld, rows, r + 2), row_ptr(w, ld, rows, r + 3)};
+      std::size_t q = 0;
+      for (; q + kQueryTile <= nq; q += kQueryTile) {
+        dot_rows_tile<kQueryTile>(w4, x + q, n, out + q, r);
+      }
+      for (; q < nq; ++q) dot_rows_tile<1>(w4, x + q, n, out + q, r);
+    }
+    for (; r < nrows; ++r) {
+      const TW* row = row_ptr(w, ld, rows, r);
+      for (std::size_t q = 0; q < nq; ++q) out[q][r] = dot_any(x[q], row, n);
+    }
+  }
+
   static void dot_rows_f32(const float* w, std::size_t ld, const std::uint32_t* rows,
-                           std::size_t nrows, const float* x, std::size_t n, float* out) {
-    dot_rows_any(w, ld, rows, nrows, x, n, out);
+                           std::size_t nrows, const float* const* x, std::size_t nq,
+                           std::size_t n, float* const* out) {
+    dot_rows_any(w, ld, rows, nrows, x, nq, n, out);
   }
   static void dot_rows_wf32_xbf16(const float* w, std::size_t ld, const std::uint32_t* rows,
-                                  std::size_t nrows, const bf16* x, std::size_t n,
-                                  float* out) {
-    dot_rows_any(w, ld, rows, nrows, x, n, out);
+                                  std::size_t nrows, const bf16* const* x, std::size_t nq,
+                                  std::size_t n, float* const* out) {
+    dot_rows_any(w, ld, rows, nrows, x, nq, n, out);
   }
   static void dot_rows_wbf16_xbf16(const bf16* w, std::size_t ld, const std::uint32_t* rows,
-                                   std::size_t nrows, const bf16* x, std::size_t n,
-                                   float* out) {
-    dot_rows_any(w, ld, rows, nrows, x, n, out);
+                                   std::size_t nrows, const bf16* const* x, std::size_t nq,
+                                   std::size_t n, float* const* out) {
+    dot_rows_any(w, ld, rows, nrows, x, nq, n, out);
   }
 
   // --- fused backward over active rows ----------------------------------------
@@ -656,9 +749,11 @@ struct GenericKernels {
     }
   }
 
-  static void dot_rows_u8s8(const std::int8_t* w, std::size_t ld, const std::uint32_t* rows,
-                            std::size_t nrows, const std::uint8_t* x, std::size_t n,
-                            std::int32_t* out) {
+  // dot_rows_one in integers: whole byte vectors, then the scalar tail.
+  [[gnu::noinline]] static void dot_rows_u8s8_one(const std::int8_t* w, std::size_t ld,
+                                                  const std::uint32_t* rows, std::size_t nrows,
+                                                  const std::uint8_t* x, std::size_t n,
+                                                  std::int32_t* out) {
     if constexpr (W == 1) {
       for (std::size_t r = 0; r < nrows; ++r) out[r] = dot_u8s8(x, row_ptr(w, ld, rows, r), n);
     } else {
@@ -695,6 +790,65 @@ struct GenericKernels {
         out[r + 3] = t3;
       }
       for (; r < nrows; ++r) out[r] = dot_u8s8(x, row_ptr(w, ld, rows, r), n);
+    }
+  }
+
+  // dot_rows_tile in integers: rows w[0..3] against queries x[0..Q), whole
+  // byte vectors first, then the scalar tail.
+  template <std::size_t Q>
+  [[gnu::always_inline]] static void dot_rows_u8s8_tile(const std::int8_t* const* w,
+                                                        const std::uint8_t* const* x,
+                                                        std::size_t n, std::int32_t* const* out,
+                                                        std::size_t r) {
+    constexpr std::size_t B = 4 * W;
+    vi a[4][Q];
+    for (auto& row : a) {
+      for (vi& acc : row) acc = S::zero_i32();
+    }
+    typename S::vb xv[Q];
+    std::size_t i = 0;
+    for (; i + B <= n; i += B) {
+      for (std::size_t q = 0; q < Q; ++q) xv[q] = S::load_b(x[q] + i);
+      for (std::size_t k = 0; k < 4; ++k) {
+        const auto wv = S::load_b(w[k] + i);
+        for (std::size_t q = 0; q < Q; ++q) a[k][q] = S::dpbusd(a[k][q], xv[q], wv);
+      }
+    }
+    std::int32_t t[4][Q];
+    for (std::size_t q = 0; q < Q; ++q) {
+      for (std::size_t k = 0; k < 4; ++k) t[k][q] = S::reduce_add_i32(a[k][q]);
+    }
+    for (; i < n; ++i) {
+      for (std::size_t q = 0; q < Q; ++q) {
+        const std::int32_t xi = x[q][i];
+        for (std::size_t k = 0; k < 4; ++k) t[k][q] += xi * w[k][i];
+      }
+    }
+    for (std::size_t q = 0; q < Q; ++q) {
+      for (std::size_t k = 0; k < 4; ++k) out[q][r + k] = t[k][q];
+    }
+  }
+
+  static void dot_rows_u8s8(const std::int8_t* w, std::size_t ld, const std::uint32_t* rows,
+                            std::size_t nrows, const std::uint8_t* const* x, std::size_t nq,
+                            std::size_t n, std::int32_t* const* out) {
+    if (nq == 1) return dot_rows_u8s8_one(w, ld, rows, nrows, x[0], n, out[0]);
+    std::size_t r = 0;
+    if constexpr (W > 1) {
+      for (; r + 4 <= nrows; r += 4) {
+        const std::int8_t* w4[4] = {row_ptr(w, ld, rows, r), row_ptr(w, ld, rows, r + 1),
+                                    row_ptr(w, ld, rows, r + 2), row_ptr(w, ld, rows, r + 3)};
+        std::size_t q = 0;
+        for (; q + kQueryTile <= nq; q += kQueryTile) {
+          dot_rows_u8s8_tile<kQueryTile>(w4, x + q, n, out + q, r);
+        }
+        for (; q < nq; ++q) dot_rows_u8s8_tile<1>(w4, x + q, n, out + q, r);
+      }
+    }
+    // Leftover rows (every row at W == 1) one dot at a time.
+    for (; r < nrows; ++r) {
+      const std::int8_t* row = row_ptr(w, ld, rows, r);
+      for (std::size_t q = 0; q < nq; ++q) out[q][r] = dot_u8s8(x[q], row, n);
     }
   }
 

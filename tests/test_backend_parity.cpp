@@ -13,6 +13,7 @@
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "kernels/kernels.h"
@@ -559,6 +560,92 @@ TEST_P(BackendParityTest, QuantizeDequantizeU8Exact) {
     EXPECT_EQ(got_d, ref_d) << "n=" << n;
     for (std::size_t i = 0; i < n; ++i) EXPECT_LE(ref_q[i], 127) << "n=" << n << " i=" << i;
   }
+}
+
+// The dot_rows_* kernel for the (weight, input) element types, in its
+// single-query or query-block form (picked by the argument count).
+template <class TW, class TX, class... Args>
+void dot_rows_of(const TW* w, Args... args) {
+  if constexpr (std::is_same_v<TW, std::int8_t>) {
+    dot_rows_u8s8(w, args...);
+  } else if constexpr (std::is_same_v<TW, bf16>) {
+    dot_rows_wbf16_xbf16(w, args...);
+  } else if constexpr (std::is_same_v<TX, bf16>) {
+    dot_rows_wf32_xbf16(w, args...);
+  } else {
+    dot_rows_f32(w, args...);
+  }
+}
+
+// Runs xs.size() queries through the active backend's kernel one at a
+// time and as one block; true when every (row, query) output has the same
+// bits both ways.
+template <class TO, class TW, class TX>
+bool block_matches_single(const TW* w, std::size_t ld, const std::uint32_t* rows,
+                          std::size_t nrows, const std::vector<std::vector<TX>>& xs,
+                          std::size_t n) {
+  const std::size_t nq = xs.size();
+  std::vector<std::vector<TO>> single(nq, std::vector<TO>(nrows));
+  std::vector<std::vector<TO>> block(nq, std::vector<TO>(nrows, TO(-7)));
+  std::vector<const TX*> x(nq);
+  std::vector<TO*> out(nq);
+  for (std::size_t q = 0; q < nq; ++q) {
+    dot_rows_of<TW, TX>(w, ld, rows, nrows, xs[q].data(), n, single[q].data());
+    x[q] = xs[q].data();
+    out[q] = block[q].data();
+  }
+  dot_rows_of<TW, TX>(w, ld, rows, nrows, x.data(), nq, n, out.data());
+  for (std::size_t q = 0; q < nq && nrows > 0; ++q) {
+    if (std::memcmp(single[q].data(), block[q].data(), nrows * sizeof(TO)) != 0) return false;
+  }
+  return true;
+}
+
+// Every backend's query-block dot_rows_* equals its own one-query calls bit
+// for bit, at every precision, for full 4x4 tiles, leftover queries and
+// leftover rows, vector tails, and explicit or implicit row lists.
+TEST(BackendParity, DotRowsQueryBlockMatchesSingleQuery) {
+  const Isa ambient = active_isa();
+  Rng rng(118);
+  const std::size_t arena_rows = 20;
+  for (const Isa isa : available_isas()) {
+    ASSERT_TRUE(set_isa(isa));
+    for (const std::size_t n : kSizes) {
+      const std::size_t ld = n + 5;
+      const auto w = random_vec(arena_rows * ld, rng);
+      std::vector<bf16> w16(w.size());
+      fp32_to_bf16(w.data(), w16.data(), w.size());
+      const auto w8 = random_s8(arena_rows * ld, rng);
+      for (const std::size_t nq : {1u, 2u, 3u, 4u, 5u, 8u, 17u}) {
+        std::vector<std::vector<float>> x(nq);
+        std::vector<std::vector<bf16>> x16(nq, std::vector<bf16>(n));
+        std::vector<std::vector<std::uint8_t>> x8(nq);
+        for (std::size_t q = 0; q < nq; ++q) {
+          x[q] = random_vec(n, rng);
+          fp32_to_bf16(x[q].data(), x16[q].data(), n);
+          x8[q] = random_u8(n, rng);
+        }
+        for (const std::size_t nrows : {0u, 1u, 3u, 4u, 5u, 13u}) {
+          const auto list = unique_indices(nrows, arena_rows, rng);
+          for (const bool explicit_rows : {true, false}) {
+            const std::uint32_t* rows = explicit_rows ? list.data() : nullptr;
+            const std::string where = std::string(isa_name(isa)) + " n=" + std::to_string(n) +
+                                      " nq=" + std::to_string(nq) +
+                                      " nrows=" + std::to_string(nrows) +
+                                      (explicit_rows ? " rows" : " nullptr");
+            EXPECT_TRUE(block_matches_single<float>(w.data(), ld, rows, nrows, x, n)) << where;
+            EXPECT_TRUE(block_matches_single<float>(w.data(), ld, rows, nrows, x16, n))
+                << where;
+            EXPECT_TRUE(block_matches_single<float>(w16.data(), ld, rows, nrows, x16, n))
+                << where;
+            EXPECT_TRUE(block_matches_single<std::int32_t>(w8.data(), ld, rows, nrows, x8, n))
+                << where;
+          }
+        }
+      }
+    }
+  }
+  set_isa(ambient);
 }
 
 INSTANTIATE_TEST_SUITE_P(VectorBackends, BackendParityTest,

@@ -198,6 +198,26 @@ TEST(Network, PredictTopkOrdering) {
   EXPECT_EQ(top[0], top1[0]);
 }
 
+// A query block's full-width activations stay within kQueryBlockBytes: 16
+// queries of a 13k-label model, one of a 670k-label model.  Int8 also
+// counts the widest layer's i32 dots.
+TEST(Network, QueryBlockSizeFitsByteBudget) {
+  const auto block = [](std::size_t hidden, std::size_t labels, Precision p) {
+    LayerView layers[2];
+    layers[0].dim = hidden;
+    layers[1].dim = labels;
+    return query_block_size(layers, p);
+  };
+  EXPECT_EQ(block(128, 13401, Precision::Fp32), kQueryBlock);
+  EXPECT_EQ(block(128, 13401, Precision::Int8), kQueryBlock);
+  EXPECT_EQ(block(128, 120000, Precision::Fp32), 8u);  // 480512 B per query
+  EXPECT_EQ(block(128, 120000, Precision::Int8), 4u);  // 960512 B
+  EXPECT_EQ(block(128, 300000, Precision::Bf16All), 3u);
+  EXPECT_EQ(block(128, 670091, Precision::Fp32), 1u);
+  EXPECT_EQ(block(128, 4000000, Precision::Fp32), 1u);
+  EXPECT_EQ(query_block_size({}, Precision::Fp32), kQueryBlock);
+}
+
 TEST(Network, TrainingStepReducesLossOnOneExample) {
   Network net(tiny_dense());
   Workspace ws = net.make_workspace();

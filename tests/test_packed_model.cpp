@@ -18,6 +18,7 @@
 #include "data/synthetic.h"
 #include "infer/engine.h"
 #include "infer/packed_model.h"
+#include "threading/thread_pool.h"
 #include "util/crc32c.h"
 
 namespace slide {
@@ -33,17 +34,17 @@ NetworkConfig sample_config(Precision precision = Precision::Fp32) {
 }
 
 // A briefly trained network so the packed snapshot is not just the init.
-Network trained_network(Precision precision = Precision::Fp32) {
+Network trained_network(const NetworkConfig& cfg) {
   data::SyntheticConfig dcfg;
   dcfg.feature_dim = 60;
-  dcfg.label_dim = 80;
+  dcfg.label_dim = cfg.layers.back().dim;
   dcfg.num_train = 400;
   dcfg.num_test = 50;
   dcfg.avg_nnz = 10;
   dcfg.num_clusters = 8;
   dcfg.seed = 99;
   auto [train, test] = data::make_xc_datasets(dcfg);
-  Network net(sample_config(precision));
+  Network net(cfg);
   TrainerConfig tcfg;
   tcfg.epochs = 1;
   tcfg.batch_size = 64;
@@ -51,6 +52,10 @@ Network trained_network(Precision precision = Precision::Fp32) {
   trainer.train_one_epoch(train);
   net.rebuild_hash_tables(nullptr);
   return net;
+}
+
+Network trained_network(Precision precision = Precision::Fp32) {
+  return trained_network(sample_config(precision));
 }
 
 data::Dataset query_set(std::size_t n = 64) {
@@ -342,6 +347,65 @@ TEST(PackedModel, SampledSurvivesEmptyCandidateSets) {
     engine.predict_topk(queries.features(i), 5, ids, infer::TopKMode::Sampled);
     ASSERT_FALSE(ids.empty()) << "query " << i;
     for (const std::uint32_t id : ids) ASSERT_LT(id, pm.output_dim());
+  }
+}
+
+// A Dense batch runs each worker chunk as query blocks.  Every query's ids
+// and scores must still equal its own predict_topk call bit for bit, at
+// every precision and for batches around the 4-query tile, whether the
+// batch is one chunk (1-thread pool) or many.  The 60 -> 20 -> 37 -> 83 net
+// has two layers with dense inputs, whose widths and row counts leave
+// vector tails and partial row groups; it runs blocks of kQueryBlock.  The
+// 70001-wide output is too wide for that (blocks of 14, 7 at Int8), so a
+// 17-query chunk runs as several blocks.
+TEST(PackedModel, DenseBatchBitIdenticalToSingleQueries) {
+  for (const std::size_t labels : {83u, 70001u}) {
+    NetworkConfig cfg = sample_config();
+    cfg.layers = {{20}, {37}, {labels, Activation::Softmax, cfg.layers.back().lsh}};
+    const Network net = trained_network(cfg);
+    const data::Dataset queries = query_set(17);
+    const std::vector<data::SparseVectorView> views = dataset_views(queries);
+    ThreadPool one(1), four(4);
+    constexpr std::size_t k = 6;
+    for (const Precision precision : {Precision::Fp32, Precision::Bf16Activations,
+                                      Precision::Bf16All, Precision::Int8}) {
+      const infer::PackedModel pm = precision == Precision::Int8
+                                        ? infer::PackedModel::freeze(net, precision, views)
+                                        : infer::PackedModel::freeze(net, precision);
+      std::vector<LayerView> layer_views;
+      for (std::size_t i = 0; i < pm.num_layers(); ++i) layer_views.push_back(pm.layer(i).view());
+      const std::size_t wide_block = precision == Precision::Int8 ? 7 : 14;
+      EXPECT_EQ(query_block_size(layer_views, precision), labels == 83 ? kQueryBlock : wide_block);
+      infer::InferenceEngine engine(pm);
+      std::vector<std::vector<std::uint32_t>> want_ids(views.size());
+      std::vector<std::vector<float>> want_scores(views.size());
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        engine.predict_topk(views[i], k, want_ids[i], infer::TopKMode::Dense, &want_scores[i]);
+        ASSERT_EQ(want_ids[i].size(), k);
+      }
+      for (ThreadPool* pool : {&one, &four}) {
+        for (const std::size_t batch : {1u, 3u, 4u, 5u, 17u}) {
+          const std::string where = "labels=" + std::to_string(labels) +
+                                    " precision=" + std::to_string(static_cast<int>(precision)) +
+                                    " pool=" + std::to_string(pool->size()) +
+                                    " batch=" + std::to_string(batch);
+          std::vector<std::uint32_t> ids(batch * k);
+          std::vector<float> scores(batch * k);
+          std::vector<std::atomic<int>> fired(batch);
+          engine.predict_topk_batch({views.data(), batch}, k, ids.data(), scores.data(),
+                                    infer::TopKMode::Dense, pool,
+                                    [&](std::size_t q) { fired[q].fetch_add(1); });
+          for (std::size_t q = 0; q < batch; ++q) {
+            EXPECT_EQ(fired[q].load(), 1) << where << " query " << q;
+            EXPECT_TRUE(std::equal(want_ids[q].begin(), want_ids[q].end(), ids.begin() + q * k))
+                << where << " query " << q;
+            EXPECT_EQ(0, std::memcmp(want_scores[q].data(), scores.data() + q * k,
+                                     k * sizeof(float)))
+                << where << " query " << q;
+          }
+        }
+      }
+    }
   }
 }
 
@@ -701,6 +765,30 @@ TEST(PackedModel, LoadRejectsOutOfRangeLayerConfigBytes) {
     } catch (const infer::ModelIntegrityError& e) {
       EXPECT_NE(std::string(e.what()).find("invalid"), std::string::npos) << e.what();
     }
+  }
+}
+
+// A header declaring more weights than the file holds is rejected before
+// anything that size is allocated.  This v1 file (no checksums) is just a
+// header, one 2^31-wide layer record and its seed: the loader used to
+// resize and zero 8 GiB of biases before failing as truncated.
+TEST(PackedModel, LoadRejectsLayerLargerThanFileBeforeAllocating) {
+  std::ostringstream out;
+  io::write_pod<std::uint32_t>(out, 0x534C4450u);  // "SLDP"
+  io::write_pod<std::uint32_t>(out, 1);
+  io::write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(Precision::Fp32));
+  io::write_pod<std::uint64_t>(out, 4);  // input_dim
+  io::write_pod<std::uint64_t>(out, 1);  // num_layers
+  LayerConfig layer;
+  layer.dim = std::size_t{1} << 31;
+  io::write_layer_config(out, layer);
+  io::write_pod<std::uint64_t>(out, 0);  // seed
+  std::istringstream in(out.str());
+  try {
+    infer::PackedModel::load(in);
+    FAIL() << "loaded a model the file cannot hold";
+  } catch (const infer::ModelIntegrityError& e) {
+    EXPECT_NE(std::string(e.what()).find("layer 0"), std::string::npos) << e.what();
   }
 }
 

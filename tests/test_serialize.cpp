@@ -176,6 +176,36 @@ TEST(Serialize, RejectsWrongVersion) {
   EXPECT_THROW(load_network(bad), std::runtime_error);
 }
 
+// A header declaring layers larger than the stream holds is rejected before
+// Network(cfg) allocates them.  The 98-byte file is a bare header declaring
+// one 65536 x 65536 layer: the loader used to build that network (16 GiB
+// of weights, plus moments) and die of std::bad_alloc.  Sizes whose
+// product overflows 64 bits are rejected the same way.
+TEST(Serialize, RejectsLayerLargerThanStreamBeforeAllocating) {
+  for (const std::uint64_t width : {std::uint64_t{1} << 16, std::uint64_t{1} << 40}) {
+    std::ostringstream out;
+    io::write_pod<std::uint32_t>(out, 0x534C444Eu);  // "SLDN"
+    io::write_pod<std::uint32_t>(out, kCheckpointVersion);
+    io::write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(Precision::Fp32));
+    io::write_pod<std::uint64_t>(out, width);  // input_dim
+    io::write_pod<std::uint64_t>(out, 42);     // seed
+    io::write_pod<std::uint64_t>(out, 0);      // adam steps
+    io::write_pod<std::uint64_t>(out, 1);      // num_layers
+    LayerConfig layer;
+    layer.dim = width;
+    io::write_layer_config(out, layer);
+    io::write_pod<std::uint8_t>(out, 1);  // has moments
+    ASSERT_EQ(out.str().size(), 98u);
+    std::istringstream in(out.str());
+    try {
+      load_network(in);
+      FAIL() << "loaded a checkpoint the stream cannot hold";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("layer 0"), std::string::npos) << e.what();
+    }
+  }
+}
+
 std::string read_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/metrics.h"
 #include "data/synthetic.h"
 #include "pool_guard.h"
 
@@ -204,6 +205,64 @@ TEST(Trainer, PrecisionAtKEvaluation) {
   EXPECT_GT(p5, 0.0);
   EXPECT_LE(p5, 1.0);
   EXPECT_EQ(trainer.evaluate_p_at_k(test, 0, 200), 0.0);
+}
+
+// evaluate_p_at_k runs each pool chunk as one query block; it must score
+// exactly what a per-query predict_topk loop scores, on one thread and on
+// four, over the whole set and under a cap that ends inside a block.  Each
+// test example is labelled with its own top-1 neuron, so every query adds
+// to the score, and a query the blocks skip or mis-rank shows.  At k = 1
+// and k = 4 every per-example precision is a binary fraction, so the sums
+// are exact in any order.  The 70000-label model is too wide for 16 queries
+// per block (query_block_size gives 14), so its chunks of 16 run as two
+// blocks.
+TEST(Trainer, BlockedEvalEqualsPerQueryLoop) {
+  for (const std::size_t labels : {120u, 70000u}) {
+    data::SyntheticConfig cfg;
+    cfg.feature_dim = 400;
+    cfg.label_dim = labels;
+    cfg.num_train = 1500;
+    cfg.num_test = 300;
+    cfg.avg_nnz = 15;
+    cfg.num_clusters = 12;
+    cfg.noise_fraction = 0.1;
+    cfg.seed = 7;
+    auto [train, test] = data::make_xc_datasets(cfg);
+    Network net(slide_config(train.feature_dim(), train.label_dim()));
+    EXPECT_EQ(query_block_size(net.views(), net.precision()), labels == 120 ? 16u : 14u);
+    TrainerConfig tcfg;
+    tcfg.batch_size = 64;
+    {
+      const ScopedPoolThreads one_thread(1);
+      Trainer(net, tcfg).train_one_epoch(train);
+    }
+    Workspace ws = net.make_workspace();
+    std::vector<std::uint32_t> topk;
+    data::Dataset own(test.feature_dim(), test.label_dim());
+    for (std::size_t i = 0; i < test.size(); ++i) {
+      const data::SparseVectorView x = test.features(i);
+      net.predict_topk(x, 1, ws, topk);
+      own.add({x.indices, x.nnz}, {x.values, x.nnz}, topk);
+    }
+    for (const unsigned threads : {1u, 4u}) {
+      const ScopedPoolThreads pool(threads);
+      Trainer trainer(net, tcfg);
+      for (const std::size_t k : {1u, 4u}) {
+        for (const std::size_t max : {0u, 37u}) {
+          const std::size_t n = max == 0 ? own.size() : max;
+          double sum = 0.0;
+          for (std::size_t i = 0; i < n; ++i) {
+            net.predict_topk(own.features(i), k, ws, topk);
+            sum += precision_at_k(topk, own.labels(i));
+          }
+          EXPECT_EQ(sum, static_cast<double>(n) / static_cast<double>(k));
+          EXPECT_EQ(trainer.evaluate_p_at_k(own, k, max), sum / static_cast<double>(n))
+              << "labels=" << labels << " threads=" << threads << " k=" << k
+              << " max=" << max;
+        }
+      }
+    }
+  }
 }
 
 TEST(Trainer, WorksWithFragmentedLayout) {
