@@ -2,11 +2,23 @@
 
 #include <algorithm>
 
-#include "core/layer.h"
 #include "kernels/kernels.h"
 
 namespace slide {
 namespace {
+
+// A feature-major layer (core/layer.h) over a sparse input:
+// out[n] = bias[n] + sum_k x_k * w[idx_k][n], nnz contiguous row sweeps.
+void feature_major_forward(const float* w, const float* bias, std::size_t dim,
+                           data::SparseVectorView x, float* out) {
+  std::copy(bias, bias + dim, out);
+  kernels::sparse_axpy_rows_f32(x.indices, x.values, x.nnz, w, dim, out, dim);
+}
+void feature_major_forward(const bf16* w, const float* bias, std::size_t dim,
+                           data::SparseVectorView x, float* out) {
+  std::copy(bias, bias + dim, out);
+  kernels::sparse_axpy_rows_bf16(x.indices, x.values, x.nnz, w, dim, out, dim);
+}
 
 // What a layer reads: the sparse query, the previous layer's compact
 // (sampled) output, or its full-width output plus the mirrors the precision
@@ -136,9 +148,9 @@ struct Int8Dots {
 
 // Layer i's pre-activations for every query of the block.  A dense input
 // into a layer that computes every neuron runs kQueryBlock queries per
-// sweep over the rows; other layers go query by query.  (Whether layer i-1
-// was sampled, and so whether its output is dense, is the same for every
-// query of a block, and so is whether layer i is.)
+// sweep over the rows; other layers go query by query.  (The block's
+// layout is query 0's: an unsampled block computes every neuron for every
+// query, and a sampled call holds one query.)
 template <class Dots>
 void pre_activations(const LayerView& L, std::size_t i,
                      std::span<const data::SparseVectorView> xs, std::span<ForwardScratch> s) {
@@ -199,9 +211,10 @@ std::size_t query_block_size(std::span<const LayerView> layers, Precision precis
                                  kQueryBlock);
 }
 
-bool inference_forward(std::span<const LayerView> layers, Precision precision,
+void inference_forward(std::span<const LayerView> layers, Precision precision,
                        std::span<const data::SparseVectorView> xs, bool sampled,
-                       std::span<ForwardScratch> s, std::size_t depth) {
+                       std::span<ForwardScratch> s, std::span<const std::uint32_t> forced,
+                       std::size_t depth) {
   const bool int8 = precision == Precision::Int8;
   const bool bf16_act = precision == Precision::Bf16Activations || precision == Precision::Bf16All;
   if (int8) {
@@ -217,7 +230,9 @@ bool inference_forward(std::span<const LayerView> layers, Precision precision,
   for (std::size_t i = 0; i < depth; ++i) {
     const LayerView& L = layers[i];
 
-    // --- candidate selection from the frozen tables, query by query -------
+    // --- candidate selection from the tables, query by query ---------------
+    // An empty selection (possible with min_active = 0) leaves `active`
+    // empty, which computes every neuron.
     for (std::size_t q = 0; q < xs.size(); ++q) {
       LayerScratch& lw = s[q].layers[i];
       lw.active.clear();
@@ -228,9 +243,9 @@ bool inference_forward(std::span<const LayerView> layers, Precision precision,
         } else {
           L.family->hash_dense(in.f32, lw.buckets.data());
         }
-        lsh::select_active_set(*L.tables, lw.buckets.data(), {}, L.dim, L.limits, lw.sampler,
-                               lw.active);
-        if (lw.active.empty()) return false;
+        lsh::select_active_set(*L.tables, lw.buckets.data(),
+                               i + 1 == layers.size() ? forced : std::span<const std::uint32_t>{},
+                               L.dim, L.limits, lw.sampler, lw.active);
       }
       lw.act.resize(lw.active.empty() ? L.dim : lw.active.size());
     }
@@ -270,7 +285,6 @@ bool inference_forward(std::span<const LayerView> layers, Precision precision,
       }
     }
   }
-  return true;
 }
 
 }  // namespace slide

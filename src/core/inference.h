@@ -1,11 +1,11 @@
-// The library's one inference forward pass: the Algorithm 1/2 dot products
-// (paper Sections 4.2-4.4) over every neuron, or over SLIDE's LSH-sampled
-// active sets, for a block of queries.  Network::predict_topk (and through
-// it the trainer's eval), PackedModel's int8 calibration and
-// InferenceEngine all run inference_forward, so a frozen copy ranks exactly
-// like the live network.  Training keeps its own pass (Network::forward),
-// which forces labels into the output layer's active set and normalizes
-// with softmax.
+// The library's one forward pass: the Algorithm 1/2 dot products (paper
+// Sections 4.2-4.4) over every neuron, or over SLIDE's LSH-sampled active
+// sets, for a block of queries.  Training (Network::forward: this pass with
+// the example's labels forced into the output layer's active set, then the
+// softmax and the loss), Network::predict_topk (and through it the
+// trainer's eval), PackedModel's int8 calibration and InferenceEngine all
+// run inference_forward, so a frozen copy ranks exactly like the live
+// network.
 #pragma once
 
 #include <cstdint>
@@ -97,27 +97,32 @@ std::size_t query_block_size(std::span<const LayerView> layers, Precision precis
 // Runs the first `depth` layers of `layers` on the queries xs at
 // `precision`, query q in s[q] (s.size() >= xs.size()), leaving its layer
 // i's activations in s[q].layers[i].act: full width over every neuron, or,
-// with `sampled`, compact over the neurons a hashed layer's frozen tables
-// select (s[q].layers[i].active).  The last layer's logits stay raw
-// (softmax is monotone, so rankings need no normalization); every other
-// layer applies its ReLU.
+// with `sampled`, compact over the neurons a hashed layer's tables select
+// (s[q].layers[i].active).  `forced` (a training example's labels) enters
+// the last layer's selection first (lsh::select_active_set).  The one
+// empty-selection rule: a hashed layer whose selection comes up empty
+// (possible with min_active = 0) computes every neuron, as a dense layer
+// does.  The last layer's logits stay raw (softmax is monotone, so rankings
+// need no normalization); every other layer applies its ReLU.
 //
 // A layer with a dense input that computes every neuron runs the block in
 // one sweep over its rows (dot_rows_* over kQueryBlock queries at a time);
 // feature-major, sparse-input and sampled layers run query by query.
 // Either way query q's results are bit for bit those of a block of one.
-// Returns false when a sampled layer's candidate set came up empty for some
-// query; callers then rerun unsampled.
-bool inference_forward(std::span<const LayerView> layers, Precision precision,
+// pre_activations reads a block's layout (sampled or dense, layer by layer)
+// from query 0, and an empty selection can make one query's layout differ
+// from another's, so sampled calls run one query per call.
+void inference_forward(std::span<const LayerView> layers, Precision precision,
                        std::span<const data::SparseVectorView> xs, bool sampled,
-                       std::span<ForwardScratch> s,
+                       std::span<ForwardScratch> s, std::span<const std::uint32_t> forced = {},
                        std::size_t depth = std::numeric_limits<std::size_t>::max());
 
 // One query: a block of one.
-inline bool inference_forward(std::span<const LayerView> layers, Precision precision,
+inline void inference_forward(std::span<const LayerView> layers, Precision precision,
                               data::SparseVectorView x, bool sampled, ForwardScratch& s,
+                              std::span<const std::uint32_t> forced = {},
                               std::size_t depth = std::numeric_limits<std::size_t>::max()) {
-  return inference_forward(layers, precision, {&x, 1}, sampled, {&s, 1}, depth);
+  inference_forward(layers, precision, {&x, 1}, sampled, {&s, 1}, forced, depth);
 }
 
 }  // namespace slide

@@ -247,17 +247,8 @@ void Layer::adam_step(const AdamConfig& cfg, const AdamBias& bias, ThreadPool* p
 void Layer::hash_all_neurons(std::uint32_t* bucket_indices, ThreadPool* pool) const {
   const std::size_t num_tables = family_->num_tables();
   const auto hash_range = [&](std::size_t begin, std::size_t end) {
-    thread_local std::vector<float> widened;
     for (std::size_t n = begin; n < end; ++n) {
-      if (precision_ == Precision::Bf16All) {
-        widened.resize(input_dim_);
-        kernels::bf16_to_fp32(row_bf16(static_cast<std::uint32_t>(n)), widened.data(),
-                              input_dim_);
-        family_->hash_dense(widened.data(), bucket_indices + n * num_tables);
-      } else {
-        family_->hash_dense(row_f32(static_cast<std::uint32_t>(n)),
-                            bucket_indices + n * num_tables);
-      }
+      hash_one_neuron(static_cast<std::uint32_t>(n), bucket_indices + n * num_tables);
     }
   };
   if (pool != nullptr && dim_ >= 128) {

@@ -18,6 +18,11 @@
 //                 neurons' weights: rows in one layout, columns in the other.
 // Network gives layer 0 FeatureMajor whenever it is not hashed.
 //
+// A Layer has no forward code of its own: training and inference both run
+// the one pass of core/inference.h over view(), with its one rule for an
+// empty LSH selection (the layer computes every neuron).  Backward, ADAM
+// and the table maintenance live here.
+//
 // Gradients are accumulated HOGWILD-style: worker threads add into the
 // shared gradient arena without synchronization (Recht et al. 2011; paper
 // Section 2).  Lost updates are tolerated by design — SLIDE's active sets
@@ -25,7 +30,6 @@
 // ARE atomic (relaxed), so the ADAM sweep never misses a touched neuron.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -51,20 +55,6 @@ enum class WeightLayout { NeuronMajor, FeatureMajor };
 inline WeightLayout weight_layout_for(std::size_t position, const LayerConfig& cfg) {
   return position == 0 && cfg.lsh.kind == HashKind::None ? WeightLayout::FeatureMajor
                                                          : WeightLayout::NeuronMajor;
-}
-
-// Forward pass of a feature-major layer over a sparse input:
-// out[n] = bias[n] + sum_k x_k * w[idx_k][n].  Training and the inference
-// pass both call this, so their activations agree bit for bit.
-inline void feature_major_forward(const float* w, const float* bias, std::size_t dim,
-                                  data::SparseVectorView x, float* out) {
-  std::copy(bias, bias + dim, out);
-  kernels::sparse_axpy_rows_f32(x.indices, x.values, x.nnz, w, dim, out, dim);
-}
-inline void feature_major_forward(const bf16* w, const float* bias, std::size_t dim,
-                                  data::SparseVectorView x, float* out) {
-  std::copy(bias, bias + dim, out);
-  kernels::sparse_axpy_rows_bf16(x.indices, x.values, x.nnz, w, dim, out, dim);
 }
 
 class Layer {
@@ -103,54 +93,6 @@ class Layer {
   float weight(std::uint32_t n, std::size_t j) const {
     const std::size_t i = weight_index(n, j);
     return precision_ == Precision::Bf16All ? w16_[i].to_float() : w_[i];
-  }
-
-  // --- forward (FeatureMajor) ----------------------------------------------
-  // Pre-activations of all dim() neurons for a sparse input.
-  void pre_activation_all(data::SparseVectorView x, float* out) const {
-    if (precision_ == Precision::Bf16All) {
-      feature_major_forward(w16_.data(), bias_.data(), dim_, x, out);
-    } else {
-      feature_major_forward(w_.data(), bias_.data(), dim_, x, out);
-    }
-  }
-
-  // --- forward (NeuronMajor) -----------------------------------------------
-  // Pre-activation of one neuron.  The caller picks the overload matching
-  // the previous layer's stored activation format.
-  float pre_activation(std::uint32_t n, data::SparseVectorView x) const {
-    const std::size_t row = static_cast<std::size_t>(n) * input_dim_;
-    if (precision_ == Precision::Bf16All) {
-      return kernels::sparse_dot_bf16(x.indices, x.values, x.nnz, w16_.data() + row) +
-             bias_[n];
-    }
-    return kernels::sparse_dot_f32(x.indices, x.values, x.nnz, w_.data() + row) + bias_[n];
-  }
-  float pre_activation_f32(std::uint32_t n, const float* prev_act) const {
-    const std::size_t row = static_cast<std::size_t>(n) * input_dim_;
-    return kernels::dot_f32(prev_act, w_.data() + row, input_dim_) + bias_[n];
-  }
-  // Batched pre-activations for a dense previous layer: out[k] =
-  // <row(rows[k]), prev> + bias (rows == nullptr means neurons 0..count-1).
-  // Dispatches to the 4-row-blocked kernels; prev16 is consulted when the
-  // precision mode stores activations as bf16.
-  void pre_activation_rows(const std::uint32_t* rows, std::size_t count,
-                           const float* prev_act, const bf16* prev_act16,
-                           float* out) const {
-    if (precision_ == Precision::Bf16All) {
-      kernels::dot_rows_wbf16_xbf16(w16_.data(), input_dim_, rows, count, prev_act16,
-                                    input_dim_, out);
-    } else if (precision_ == Precision::Bf16Activations) {
-      kernels::dot_rows_wf32_xbf16(w_.data(), input_dim_, rows, count, prev_act16,
-                                   input_dim_, out);
-    } else {
-      kernels::dot_rows_f32(w_.data(), input_dim_, rows, count, prev_act, input_dim_, out);
-    }
-    if (rows != nullptr) {
-      for (std::size_t k = 0; k < count; ++k) out[k] += bias_[rows[k]];
-    } else {
-      for (std::size_t k = 0; k < count; ++k) out[k] += bias_[k];
-    }
   }
 
   // --- backward (HOGWILD; called concurrently from worker threads) --------
@@ -208,7 +150,7 @@ class Layer {
   // using the configured maintenance strategy.  Returns true on a refresh.
   bool on_batch_end(ThreadPool* pool);
 
-  // This layer as the inference pass (core/inference.h) reads it.
+  // This layer as the forward pass (core/inference.h) reads it.
   LayerView view() const {
     return {.input_dim = input_dim_, .dim = dim_, .feature_major = feature_major(),
             .activation = cfg_.activation, .w = w_.data(), .w16 = w16_.data(),
@@ -218,13 +160,6 @@ class Layer {
 
   const lsh::HashFamily* hash_family() const { return family_.get(); }
   const lsh::LshTables* tables() const { return tables_.get(); }
-
-  void hash_input_dense(const float* x, std::uint32_t* buckets) const {
-    family_->hash_dense(x, buckets);
-  }
-  void hash_input_sparse(data::SparseVectorView x, std::uint32_t* buckets) const {
-    family_->hash_sparse(x.indices, x.values, x.nnz, buckets);
-  }
 
   // --- raw access (serialization, tests) -----------------------------------
   // The arenas in layout order (see weight_index).

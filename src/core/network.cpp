@@ -1,5 +1,6 @@
 #include "core/network.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -20,6 +21,13 @@ Workspace::Workspace(const Network& net, std::uint64_t seed)
 Network::Network(NetworkConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.input_dim == 0) throw std::invalid_argument("Network: input_dim must be > 0");
   if (cfg_.layers.empty()) throw std::invalid_argument("Network: needs at least one layer");
+  // forward() normalizes the output and backward() differentiates softmax
+  // cross-entropy there and ReLU/Linear below it.
+  for (std::size_t i = 0; i < cfg_.layers.size(); ++i) {
+    if ((cfg_.layers[i].activation == Activation::Softmax) != (i + 1 == cfg_.layers.size())) {
+      throw std::invalid_argument("Network: the output layer, and only it, must be Softmax");
+    }
+  }
   layers_.reserve(cfg_.layers.size());
   std::size_t prev = cfg_.input_dim;
   ThreadPool& pool = global_pool();
@@ -51,90 +59,19 @@ std::size_t Network::num_params() const {
 
 float Network::forward(data::SparseVectorView x, std::span<const std::uint32_t> labels,
                        Workspace& ws, bool train) {
-  const bool bf16_act = cfg_.precision != Precision::Fp32;
+  inference_forward(views_, cfg_.precision, x, /*sampled=*/true, ws,
+                    train ? labels : std::span<const std::uint32_t>{});
+  LayerScratch& out = ws.layers.back();
+  kernels::softmax_f32(out.act.data(), out.act.size());
+  if (!train || labels.empty()) return 0.0f;
+
+  // Cross-entropy against the uniform multi-hot target.  A sampled output
+  // holds the forced labels in its first labels.size() slots.
+  const float y = 1.0f / static_cast<float>(labels.size());
   float loss = 0.0f;
-
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const Layer& L = layers_[i];
-    auto& lw = ws.layers[i];
-    const bool output_layer = i + 1 == layers_.size();
-
-    // --- active-set selection ------------------------------------------
-    lw.active.clear();
-    if (L.uses_hashing()) {
-      if (i == 0) {
-        L.hash_input_sparse(x, lw.buckets.data());
-      } else {
-        const auto& pw = ws.layers[i - 1];
-        if (pw.active.empty()) {
-          L.hash_input_dense(pw.act.data(), lw.buckets.data());
-        } else {
-          L.hash_input_sparse({pw.active.data(), pw.act.data(), pw.active.size()},
-                              lw.buckets.data());
-        }
-      }
-      const lsh::SamplerLimits limits{L.config().lsh.min_active, L.config().lsh.max_active};
-      const std::span<const std::uint32_t> forced =
-          (train && output_layer) ? labels : std::span<const std::uint32_t>{};
-      lsh::select_active_set(*L.tables(), lw.buckets.data(), forced, L.dim(), limits,
-                             lw.sampler, lw.active);
-    }
-    // An empty selection (possible with min_active = 0) computes every
-    // neuron: `active` stays empty, which is what marks a layer dense.
-    const std::uint32_t* rows = lw.active.empty() ? nullptr : lw.active.data();
-    const std::size_t count = rows == nullptr ? L.dim() : lw.active.size();
-    lw.act.resize(count);
-
-    // --- pre-activations ---------------------------------------------------
-    if (i == 0 && L.feature_major()) {
-      // Sparse input into a feature-major layer: nnz row sweeps.
-      L.pre_activation_all(x, lw.act.data());
-    } else if (i == 0) {
-      // Sparse input into a hashed layer: gather-based dots per active
-      // neuron (Algorithm 1 over a sparse vector).
-      for (std::size_t k = 0; k < count; ++k) lw.act[k] = L.pre_activation(neuron_at(rows, k), x);
-    } else {
-      const auto& pw = ws.layers[i - 1];
-      if (!pw.active.empty()) {
-        // Compact (sparse) previous layer.
-        const data::SparseVectorView prev{pw.active.data(), pw.act.data(),
-                                          pw.active.size()};
-        for (std::size_t k = 0; k < count; ++k) {
-          lw.act[k] = L.pre_activation(neuron_at(rows, k), prev);
-        }
-      } else {
-        // Dense previous layer: 4-row-blocked batched dots.
-        L.pre_activation_rows(rows, count, pw.act.data(),
-                              bf16_act ? pw.act16.data() : nullptr, lw.act.data());
-      }
-    }
-
-    // --- nonlinearity --------------------------------------------------------
-    if (L.activation() == Activation::Softmax) {
-      kernels::softmax_f32(lw.act.data(), count);
-    } else if (L.activation() == Activation::ReLU) {
-      kernels::relu_f32(lw.act.data(), count);
-    }  // Linear: pre-activations pass through (word2vec projection layer)
-    if (bf16_act) {
-      lw.act16.resize(count);
-      kernels::fp32_to_bf16(lw.act.data(), lw.act16.data(), count);
-    }
-
-    // --- loss -----------------------------------------------------------------
-    if (train && output_layer && !labels.empty()) {
-      const float y = 1.0f / static_cast<float>(labels.size());
-      if (rows != nullptr) {
-        // select_active_set guarantees the forced labels occupy the first
-        // labels.size() slots of the active set.
-        for (std::size_t k = 0; k < labels.size(); ++k) {
-          loss -= y * std::log(std::max(lw.act[k], 1e-30f));
-        }
-      } else {
-        for (const std::uint32_t l : labels) {
-          loss -= y * std::log(std::max(lw.act[l], 1e-30f));
-        }
-      }
-    }
+  for (std::size_t k = 0; k < labels.size(); ++k) {
+    const std::uint32_t slot = out.active.empty() ? labels[k] : static_cast<std::uint32_t>(k);
+    loss -= y * std::log(std::max(out.act[slot], 1e-30f));
   }
   return loss;
 }

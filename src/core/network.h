@@ -1,11 +1,12 @@
 // The SLIDE network: sparse-input MLP whose hashed layers compute only an
 // LSH-selected active set per example (paper Sections 2 and 4).
 //
-// Training runs its own sparse pass (forward/backward, which force the
-// labels into the output layer's active set); inference (predict_topk, and
-// with it the trainer's eval) runs the library's one inference pass,
-// inference_forward in core/inference.h, the same code a frozen
-// PackedModel serves through.
+// Training and inference run the library's one forward pass,
+// inference_forward in core/inference.h, the same code a frozen PackedModel
+// serves through: forward() runs it sampled, with the example's labels
+// forced into the output layer's active set, then adds the softmax and the
+// loss; predict_topk (and with it the trainer's eval) runs it unsampled.  A
+// hashed layer whose selection comes up empty computes every neuron.
 //
 // Threading model: Network owns the shared state (weights, gradient arenas,
 // hash tables).  Each worker thread owns a Workspace and calls
@@ -41,6 +42,8 @@ class Workspace : public ForwardScratch {
 
 class Network {
  public:
+  // Throws std::invalid_argument unless the last layer, and only it, is
+  // Softmax.
   explicit Network(NetworkConfig cfg);
 
   const NetworkConfig& config() const { return cfg_; }
@@ -59,10 +62,11 @@ class Network {
   // buffers); `seed` seeds its samplers as make_workspace's does.
   ForwardScratch make_forward_scratch(std::uint64_t seed = 0) const;
 
-  // Sparse forward pass.  In training mode the example's labels are forced
-  // into the output layer's active set (they occupy the first labels.size()
-  // slots).  Returns the cross-entropy loss against the uniform multi-hot
-  // target when `train` and labels are present, else 0.
+  // Sampled forward pass (inference_forward) plus the output softmax.  In
+  // training mode the example's labels are forced into the output layer's
+  // active set (they occupy the first labels.size() slots).  Returns the
+  // cross-entropy loss against the uniform multi-hot target when `train`
+  // and labels are present, else 0.
   // Thread-safe across distinct workspaces.
   float forward(data::SparseVectorView x, std::span<const std::uint32_t> labels,
                 Workspace& ws, bool train);

@@ -51,8 +51,8 @@ struct Trainer::Telemetry {
         epoch_seconds(reg.gauge("slide_train_epoch_seconds",
                                 "Wall-clock seconds of the last training epoch")),
         active_set_avg(reg.gauge("slide_train_active_set_avg",
-                                 "Average output-layer active-set size per "
-                                 "example, last epoch")),
+                                 "Average output-layer neurons computed per example "
+                                 "(the active set, or every neuron), last epoch")),
         stream_chunks(reg.gauge("slide_stream_chunks", "Chunks consumed, last streaming epoch")),
         stream_loader_wait_seconds(
             reg.gauge("slide_stream_loader_wait_seconds",
@@ -220,7 +220,7 @@ void Trainer::hogwild_batch(const data::Dataset& ds, const std::uint32_t* order,
       const auto x = ds.features(idx);
       const auto labels = ds.labels(idx);
       local_loss += net_.forward(x, labels, ws, /*train=*/true);
-      if (track_active) local_active += ws.layers.back().active.size();
+      if (track_active) local_active += ws.layers.back().act.size();
       net_.backward(x, labels, ws);
     }
     loss_partials[rank].value += local_loss;

@@ -143,7 +143,8 @@ class Trainer {
   // Telemetry handles (defined in trainer.cpp); null when cfg_.metrics is.
   struct Telemetry;
   std::unique_ptr<Telemetry> telemetry_;
-  // Per-rank HOGWILD accumulation of the output layer's active-set size;
+  // Per-rank HOGWILD accumulation of the output neurons computed (the
+  // active set, or every neuron of a layer that ran dense);
   // cache-line padded like loss_partials, drained once per epoch.
   std::vector<CacheAligned<std::uint64_t>> active_size_partials_;
   std::vector<CacheAligned<std::uint64_t>> active_count_partials_;

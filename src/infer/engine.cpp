@@ -48,12 +48,7 @@ void InferenceEngine::reserve_queries(Scratch& s, std::size_t n) const {
 }
 
 void InferenceEngine::forward(data::SparseVectorView x, TopKMode mode, Scratch& s) {
-  const Precision precision = model_.precision();
-  ForwardScratch& f = s.queries[0];
-  if (mode == TopKMode::Sampled && inference_forward(views_, precision, x, /*sampled=*/true, f)) {
-    return;
-  }
-  inference_forward(views_, precision, x, /*sampled=*/false, f);
+  inference_forward(views_, model_.precision(), x, mode == TopKMode::Sampled, s.queries[0]);
 }
 
 void InferenceEngine::emit_topk(Scratch& s, std::size_t q, std::size_t k,

@@ -7,9 +7,9 @@
 // the batch entry point fans a whole query batch out over the thread pool
 // with one lease per worker chunk.
 //
-// Both ranking modes run the library's one inference pass
-// (inference_forward), the code Network::predict_topk and the trainer's
-// eval run too:
+// Both ranking modes run the library's one forward pass
+// (inference_forward), the code training, Network::predict_topk and the
+// trainer's eval run too:
 //   Dense    every output neuron is evaluated through the blocked
 //            dot_rows_* kernels: exact, and bit-identical to
 //            Network::predict_topk on the same frozen weights.  A batch
@@ -107,9 +107,9 @@ class InferenceEngine {
 
   // Runs the inference pass on one query in s.queries[0], leaving the output
   // logits in the last layer's scratch: compact over `active` in sampled
-  // mode, full-width otherwise.  A sampled pass whose candidate set comes up
-  // empty in some layer (possible when min_active == 0 and every probed
-  // bucket is empty) falls back to the exact full-width pass.
+  // mode, full-width otherwise.  A layer whose sampled candidate set comes
+  // up empty (possible when min_active == 0 and every probed bucket is
+  // empty) computes every neuron, as in Dense mode.
   void forward(data::SparseVectorView x, TopKMode mode, Scratch& s);
   // Query slot q's top k (ids, and optionally scores) from its logits.
   static void emit_topk(Scratch& s, std::size_t q, std::size_t k,

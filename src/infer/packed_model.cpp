@@ -162,7 +162,7 @@ PackedModel PackedModel::freeze(const Network& net, Precision precision,
   for (std::size_t s = 0; s < n_samples; ++s) {
     const data::SparseVectorView x = calibration[s];
     observed[0].insert(observed[0].end(), x.values, x.values + x.nnz);
-    inference_forward(views, Precision::Fp32, x, /*sampled=*/false, scratch, num_layers - 1);
+    inference_forward(views, Precision::Fp32, x, /*sampled=*/false, scratch, {}, num_layers - 1);
     for (std::size_t i = 0; i + 1 < num_layers; ++i) {
       const AlignedVector<float>& out = scratch.layers[i].act;
       observed[i + 1].insert(observed[i + 1].end(), out.begin(), out.end());

@@ -29,6 +29,21 @@ LayerConfig hashed_cfg(std::size_t dim) {
   return cfg;
 }
 
+// The layer's pre-activations for a sparse input: the forward pass over
+// the layer alone, whose output stays raw.
+std::vector<float> pre_activations(const Layer& L, data::SparseVectorView x) {
+  const LayerView view = L.view();
+  ForwardScratch s;
+  s.layers.emplace_back(0, view);
+  inference_forward({&view, 1}, L.precision(), x, /*sampled=*/false, s);
+  return {s.layers[0].act.begin(), s.layers[0].act.end()};
+}
+
+// Neuron n's pre-activation on a dense input x (Algorithm 1's dot).
+float dense_pre_activation(const Layer& L, std::uint32_t n, const float* x) {
+  return kernels::dot_f32(x, L.row_f32(n), L.input_dim()) + L.biases()[n];
+}
+
 TEST(Layer, ValidatesDimensions) {
   EXPECT_THROW(Layer(0, dense_cfg(4), Precision::Fp32, 1), std::invalid_argument);
   EXPECT_THROW(Layer(4, dense_cfg(0), Precision::Fp32, 1), std::invalid_argument);
@@ -64,10 +79,12 @@ TEST(Layer, InitializationScaleTracksFanIn) {
 TEST(Layer, PreActivationMatchesManualDot) {
   Layer L(8, dense_cfg(3), Precision::Fp32, 5);
   std::vector<float> x = {1, 2, 3, 4, 5, 6, 7, 8};
+  const std::uint32_t idx[] = {0, 1, 2, 3, 4, 5, 6, 7};
+  const std::vector<float> out = pre_activations(L, {idx, x.data(), 8});
   for (std::uint32_t n = 0; n < 3; ++n) {
     double ref = 0;
     for (std::size_t j = 0; j < 8; ++j) ref += static_cast<double>(L.row_f32(n)[j]) * x[j];
-    EXPECT_NEAR(L.pre_activation_f32(n, x.data()), ref, 1e-5);
+    EXPECT_NEAR(out[n], ref, 1e-5);
   }
 }
 
@@ -77,9 +94,9 @@ TEST(Layer, SparsePreActivationMatchesDenseEquivalent) {
   const float val[] = {1.5f, -2.0f, 0.25f};
   std::vector<float> dense(16, 0.0f);
   for (int k = 0; k < 3; ++k) dense[idx[k]] = val[k];
+  const std::vector<float> out = pre_activations(L, {idx, val, 3});
   for (std::uint32_t n = 0; n < 4; ++n) {
-    EXPECT_NEAR(L.pre_activation(n, {idx, val, 3}), L.pre_activation_f32(n, dense.data()),
-                1e-5f);
+    EXPECT_NEAR(out[n], dense_pre_activation(L, n, dense.data()), 1e-5f);
   }
 }
 
@@ -238,15 +255,14 @@ TEST(Layer, Bf16AllStoresWeightsAsBf16) {
   // The bf16 layer's pre-activation approximates an fp32 twin's.
   Layer ref(16, dense_cfg(4), Precision::Fp32, 29);
   std::vector<float> x(16, 1.0f);
+  std::vector<std::uint32_t> idx(16);
+  for (std::size_t i = 0; i < 16; ++i) idx[i] = static_cast<std::uint32_t>(i);
+  const std::vector<float> bias_only = pre_activations(L, {nullptr, nullptr, 0});
+  const std::vector<float> full = pre_activations(L, {idx.data(), x.data(), 16});
   for (std::uint32_t n = 0; n < 4; ++n) {
-    const float a = L.pre_activation(n, {nullptr, nullptr, 0});  // bias only
-    EXPECT_EQ(a, 0.0f);
-    std::vector<std::uint32_t> idx(16);
-    std::vector<float> val(16, 1.0f);
-    for (std::size_t i = 0; i < 16; ++i) idx[i] = static_cast<std::uint32_t>(i);
-    const float full = L.pre_activation(n, {idx.data(), val.data(), 16});
-    const float exact = ref.pre_activation_f32(n, x.data());
-    EXPECT_NEAR(full, exact, std::abs(exact) * 0.02f + 0.02f);
+    EXPECT_EQ(bias_only[n], 0.0f);
+    const float exact = dense_pre_activation(ref, n, x.data());
+    EXPECT_NEAR(full[n], exact, std::abs(exact) * 0.02f + 0.02f);
   }
 }
 
@@ -287,11 +303,11 @@ TEST(Layer, FeatureMajorForwardMatchesNeuronMajorReference) {
     for (const std::size_t dim : {1u, 7u, 16u, 33u, 64u, 130u}) {
       const Layer nm(64, dense_cfg(dim), p, 47);
       const Layer fm(64, dense_cfg(dim), p, 47, WeightLayout::FeatureMajor);
-      std::vector<float> out(dim);
-      fm.pre_activation_all({idx, val, 6}, out.data());
+      const std::vector<float> out = pre_activations(fm, {idx, val, 6});
+      const std::vector<float> ref = pre_activations(nm, {idx, val, 6});
       for (std::uint32_t n = 0; n < dim; ++n) {
-        const float ref = nm.pre_activation(n, {idx, val, 6});
-        EXPECT_NEAR(out[n], ref, 1e-5f + std::abs(ref) * 1e-5f) << "dim=" << dim << " n=" << n;
+        EXPECT_NEAR(out[n], ref[n], 1e-5f + std::abs(ref[n]) * 1e-5f)
+            << "dim=" << dim << " n=" << n;
       }
     }
   }

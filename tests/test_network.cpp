@@ -38,6 +38,13 @@ TEST(Network, ValidatesConfig) {
   EXPECT_THROW(Network{bad}, std::invalid_argument);
   bad.input_dim = 4;
   EXPECT_THROW(Network{bad}, std::invalid_argument);
+  // The output layer, and only it, is Softmax.
+  NetworkConfig relu_output = tiny_dense();
+  relu_output.layers.back().activation = Activation::ReLU;
+  EXPECT_THROW(Network{relu_output}, std::invalid_argument);
+  NetworkConfig softmax_hidden = tiny_dense();
+  softmax_hidden.layers.front().activation = Activation::Softmax;
+  EXPECT_THROW(Network{softmax_hidden}, std::invalid_argument);
 }
 
 TEST(Network, CountsParameters) {
@@ -320,7 +327,10 @@ TEST(Network, EmptyHiddenSelectionComputesTheLayerDensely) {
       const auto& act = ws.layers[0].act;
       ASSERT_EQ(act.size(), width) << "example " << e;
       for (std::uint32_t n = 0; n < width; ++n) {
-        ASSERT_EQ(act[n], std::max(0.0f, net.layer(0).pre_activation(n, x))) << "n=" << n;
+        const float pre = kernels::sparse_dot_f32(x.indices, x.values, x.nnz,
+                                                  net.layer(0).row_f32(n)) +
+                          net.layer(0).biases()[n];
+        ASSERT_EQ(act[n], std::max(0.0f, pre)) << "n=" << n;
       }
       // The same loss from a workspace that last ran another example.
       const std::size_t before = (e + 1) % train.size();

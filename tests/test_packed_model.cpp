@@ -350,6 +350,50 @@ TEST(PackedModel, SampledSurvivesEmptyCandidateSets) {
   }
 }
 
+// A model that hashes only its output layer, with min_active = 0 and sparse
+// tables (2 tables of 4096 buckets for 80 neurons), often selects no output
+// neuron.  Such a query computes every output neuron, so its Sampled ids
+// and scores are its Dense ones, bit for bit, at fp32 and at int8.
+TEST(PackedModel, SampledEmptySelectionEqualsDense) {
+  LshLayerConfig lsh;
+  lsh.kind = HashKind::Dwta;
+  lsh.k = 4;
+  lsh.l = 2;
+  lsh.min_active = 0;
+  const Network net = trained_network(make_slide_mlp(60, 16, 80, lsh, Precision::Fp32, 1234));
+  const data::Dataset queries = query_set(64);
+  const std::vector<data::SparseVectorView> views = dataset_views(queries);
+  for (const Precision precision : {Precision::Fp32, Precision::Int8}) {
+    const infer::PackedModel pm = precision == Precision::Int8
+                                      ? infer::PackedModel::freeze(net, precision, views)
+                                      : infer::PackedModel::freeze(net, precision);
+    infer::InferenceEngine engine(pm);
+    std::vector<LayerView> layers;
+    ForwardScratch probe;
+    for (std::size_t i = 0; i < pm.num_layers(); ++i) layers.push_back(pm.layer(i).view());
+    for (const LayerView& L : layers) probe.layers.emplace_back(0, L);
+    std::size_t empty = 0;
+    std::vector<std::uint32_t> sampled_ids, dense_ids;
+    std::vector<float> sampled_scores, dense_scores;
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      // No forced labels and no top-up: the selection is the probed buckets.
+      inference_forward(layers, precision, views[i], /*sampled=*/true, probe);
+      if (!probe.layers.back().active.empty()) continue;
+      ++empty;
+      engine.predict_topk(views[i], 5, sampled_ids, infer::TopKMode::Sampled, &sampled_scores);
+      engine.predict_topk(views[i], 5, dense_ids, infer::TopKMode::Dense, &dense_scores);
+      const std::string where =
+          "precision=" + std::to_string(static_cast<int>(precision)) + " query " + std::to_string(i);
+      ASSERT_EQ(sampled_ids, dense_ids) << where;
+      ASSERT_EQ(sampled_scores.size(), dense_scores.size()) << where;
+      EXPECT_EQ(0, std::memcmp(sampled_scores.data(), dense_scores.data(),
+                               dense_scores.size() * sizeof(float)))
+          << where;
+    }
+    EXPECT_GT(empty, 0u) << "precision=" << static_cast<int>(precision);
+  }
+}
+
 // A Dense batch runs each worker chunk as query blocks.  Every query's ids
 // and scores must still equal its own predict_topk call bit for bit, at
 // every precision and for batches around the 4-query tile, whether the

@@ -125,6 +125,31 @@ TEST(Trainer, AdamStepCountAdvancesPerBatch) {
   EXPECT_EQ(net.adam_steps(), (train.size() + 99) / 100);
 }
 
+// slide_train_active_set_avg counts the output neurons each example
+// computed: every neuron of a dense output layer, the sampled active set
+// (at least min_active) of a hashed one.
+TEST(Trainer, ActiveSetGaugeCountsComputedOutputNeurons) {
+  auto [train, test] = small_task();
+  const auto active_set_avg = [&](const NetworkConfig& cfg) {
+    Network net(cfg);
+    obs::MetricsRegistry reg;
+    TrainerConfig tcfg;
+    tcfg.batch_size = 64;
+    tcfg.epochs = 1;
+    tcfg.eval_max_examples = 10;
+    tcfg.metrics = &reg;
+    Trainer trainer(net, tcfg);
+    trainer.train(train, test);
+    return reg.gauge("slide_train_active_set_avg", "").value();
+  };
+  EXPECT_EQ(active_set_avg(make_dense_mlp(train.feature_dim(), 24, train.label_dim())),
+            static_cast<double>(train.label_dim()));
+  const NetworkConfig hashed = slide_config(train.feature_dim(), train.label_dim());
+  const double avg = active_set_avg(hashed);
+  EXPECT_GE(avg, static_cast<double>(hashed.layers.back().lsh.min_active));
+  EXPECT_LE(avg, static_cast<double>(train.label_dim()));
+}
+
 TEST(Trainer, ShuffleModesAllConverge) {
   const ScopedPoolThreads one_thread(1);
   auto [train, test] = small_task();
