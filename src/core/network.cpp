@@ -21,6 +21,10 @@ Workspace::Workspace(const Network& net, std::uint64_t seed)
 Network::Network(NetworkConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.input_dim == 0) throw std::invalid_argument("Network: input_dim must be > 0");
   if (cfg_.layers.empty()) throw std::invalid_argument("Network: needs at least one layer");
+  // A live Layer has no int8 weight arena; PackedModel::freeze makes one.
+  if (cfg_.precision == Precision::Int8) {
+    throw std::invalid_argument("Network: Int8 is serving-only; freeze a trained model instead");
+  }
   // forward() normalizes the output and backward() differentiates softmax
   // cross-entropy there and ReLU/Linear below it.
   for (std::size_t i = 0; i < cfg_.layers.size(); ++i) {

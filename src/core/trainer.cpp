@@ -34,6 +34,7 @@ struct Trainer::Telemetry {
     obs::Gauge* entries;
     obs::Gauge* occupancy;
     obs::Gauge* avg_bucket;
+    obs::Gauge* bytes;
   };
   std::vector<LayerGauges> layers;
 
@@ -74,7 +75,11 @@ struct Trainer::Telemetry {
           &reg.gauge("slide_lsh_bucket_occupancy",
                      "Fraction of a layer's hash buckets that are non-empty", labels),
           &reg.gauge("slide_lsh_avg_bucket_size",
-                     "Average ids per non-empty bucket in a layer's tables", labels)});
+                     "Average ids per non-empty bucket in a layer's tables", labels),
+          &reg.gauge("slide_lsh_table_bytes",
+                     "Resident bytes of a layer's hash tables (bucket heads, "
+                     "insert counters and id arenas)",
+                     labels)});
     }
   }
 };
@@ -128,10 +133,12 @@ void Trainer::publish_epoch_metrics(const EpochRecord& rec) {
     if (tables == nullptr) continue;
     std::size_t entries = 0;
     std::size_t non_empty = 0;
+    std::size_t bytes = 0;
     for (std::size_t t = 0; t < tables->num_tables(); ++t) {
       const lsh::TableStats ts = tables->stats(t);
       entries += ts.total_entries;
       non_empty += ts.non_empty_buckets;
+      bytes += ts.bytes;
     }
     const std::size_t buckets = tables->num_tables() * tables->bucket_range();
     lg.entries->set(static_cast<double>(entries));
@@ -141,6 +148,7 @@ void Trainer::publish_epoch_metrics(const EpochRecord& rec) {
     lg.avg_bucket->set(non_empty > 0 ? static_cast<double>(entries) /
                                            static_cast<double>(non_empty)
                                      : 0.0);
+    lg.bytes->set(static_cast<double>(bytes));
   }
 }
 

@@ -45,6 +45,10 @@ TEST(Network, ValidatesConfig) {
   NetworkConfig softmax_hidden = tiny_dense();
   softmax_hidden.layers.front().activation = Activation::Softmax;
   EXPECT_THROW(Network{softmax_hidden}, std::invalid_argument);
+  // Int8 is serving-only: a live layer has no int8 weights to run.
+  NetworkConfig int8 = tiny_dense();
+  int8.precision = Precision::Int8;
+  EXPECT_THROW(Network{int8}, std::invalid_argument);
 }
 
 TEST(Network, CountsParameters) {

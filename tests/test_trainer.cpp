@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/metrics.h"
 #include "data/synthetic.h"
 #include "pool_guard.h"
@@ -148,6 +150,48 @@ TEST(Trainer, ActiveSetGaugeCountsComputedOutputNeurons) {
   const double avg = active_set_avg(hashed);
   EXPECT_GE(avg, static_cast<double>(hashed.layers.back().lsh.min_active));
   EXPECT_LE(avg, static_cast<double>(train.label_dim()));
+}
+
+// The per-layer table gauges read back what the hashed layer's tables hold
+// after the epoch's last rebuild.
+TEST(Trainer, TableGaugesDescribeEachHashedLayer) {
+  auto [train, test] = small_task();
+  NetworkConfig cfg = slide_config(train.feature_dim(), train.label_dim());
+  cfg.layers.back().lsh.bucket_capacity = static_cast<std::uint32_t>(train.label_dim());
+  Network net(cfg);  // no bucket can overflow: every neuron stays in every table
+  obs::MetricsRegistry reg;
+  TrainerConfig tcfg;
+  tcfg.batch_size = 64;
+  tcfg.epochs = 1;
+  tcfg.eval_max_examples = 10;
+  tcfg.metrics = &reg;
+  Trainer trainer(net, tcfg);
+  trainer.train(train, test);
+
+  std::size_t hashed = 0;
+  for (std::size_t i = 0; i < net.num_layers(); ++i) {
+    const lsh::LshTables* tables = net.layer(i).tables();
+    if (tables == nullptr) continue;
+    ++hashed;
+    SCOPED_TRACE(::testing::Message() << "layer " << i);
+    const obs::Labels labels = {{"layer", std::to_string(i)}};
+    const double entries = reg.gauge("slide_lsh_table_entries", "", labels).value();
+    const double occupancy = reg.gauge("slide_lsh_bucket_occupancy", "", labels).value();
+    const double avg = reg.gauge("slide_lsh_avg_bucket_size", "", labels).value();
+    const double bytes = reg.gauge("slide_lsh_table_bytes", "", labels).value();
+    const double buckets =
+        static_cast<double>(tables->num_tables()) * static_cast<double>(tables->bucket_range());
+
+    EXPECT_EQ(entries, static_cast<double>(net.layer(i).dim() * tables->num_tables()));
+    EXPECT_GT(occupancy, 0.0);
+    EXPECT_LE(occupancy, 1.0);
+    EXPECT_NEAR(avg * occupancy * buckets, entries, 1e-6 * entries);
+    // An 8-byte head and two u32 counters per bucket, 4 B per arena slot;
+    // after a rebuild each bucket has exactly one slot per id.
+    EXPECT_GE(bytes, 4 * entries);
+    EXPECT_LE(bytes, 16 * buckets + 4 * entries);
+  }
+  EXPECT_EQ(hashed, 1u);
 }
 
 TEST(Trainer, ShuffleModesAllConverge) {
