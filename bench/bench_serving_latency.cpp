@@ -18,10 +18,10 @@
 // Each client thread runs closed-loop: submit one query, block on its
 // future (or the engine call), record the latency, repeat.  `direct` calls
 // InferenceEngine::predict_topk with no server at all (the baseline);
-// `batch=1` routes through the BatchingServer with batching disabled
-// (max_batch_size=1, delay=0 — per-request dispatch, paying the queue);
-// `batched` enables the (max_batch_size, max_queue_delay_us) policy.  Every
-// row reports QPS plus p50/p95/p99 from util/histogram.h.
+// `batch=1` routes through the BatchingServer with max_batch_size=1
+// (per-request dispatch, paying the queue); `batched` lets each batch take
+// up to SLIDE_SERVE_BATCH_MAX of the requests that queued while the last
+// one ran.  Every row reports QPS plus p50/p95/p99 from util/histogram.h.
 //
 // TCP mode skips training: it reads queries from SLIDE_SERVE_QUERIES_FILE
 // (XC format, matching the served model), opens one connection per client
@@ -46,9 +46,9 @@
 //
 // Env knobs: SLIDE_BENCH_SCALE, SLIDE_BENCH_EPOCHS, SLIDE_BENCH_QUERIES
 // (total per grid cell, default 2000), SLIDE_BENCH_CLIENTS (max client
-// threads, default 8), SLIDE_SERVE_BATCH_MAX, SLIDE_SERVE_DELAY_US,
-// SLIDE_BENCH_DEADLINE_US (chaos deadline budget, default 20000),
-// SLIDE_BENCH_IDLE_CONNS (--connections idle-crowd cap, default 4096).
+// threads, default 8), SLIDE_SERVE_BATCH_MAX, SLIDE_BENCH_DEADLINE_US
+// (chaos deadline budget, default 20000), SLIDE_BENCH_IDLE_CONNS
+// (--connections idle-crowd cap, default 4096).
 #include "bench_common.h"
 
 #include <netinet/in.h>
@@ -103,13 +103,12 @@ struct RunResult {
 RunResult run_cell(infer::InferenceEngine& engine, Dispatch dispatch,
                    infer::TopKMode mode, std::span<const data::SparseVectorView> queries,
                    std::size_t total, unsigned clients, std::size_t batch_max,
-                   std::uint64_t delay_us, obs::MetricsRegistry* metrics = nullptr) {
+                   obs::MetricsRegistry* metrics = nullptr) {
   constexpr std::uint32_t kTopK = 5;
   util::ShardedHistogram hist;
 
   serve::ServerConfig scfg;
   scfg.policy.max_batch_size = dispatch == Dispatch::Batched ? batch_max : 1;
-  scfg.policy.max_queue_delay_us = dispatch == Dispatch::Batched ? delay_us : 0;
   scfg.queue_capacity = 4096;
   scfg.admission = serve::Admission::Block;
   scfg.k = kTopK;
@@ -249,8 +248,7 @@ int run_tcp_loadgen(const std::string& connect, const std::string& queries_file,
 // clock drift and cache warmup cancel instead of landing on one side.
 int run_metrics_overhead(infer::InferenceEngine& engine,
                          std::span<const data::SparseVectorView> queries,
-                         std::size_t total, unsigned clients, std::size_t batch_max,
-                         std::uint64_t delay_us) {
+                         std::size_t total, unsigned clients, std::size_t batch_max) {
   obs::MetricsRegistry disabled(false);
   obs::MetricsRegistry enabled(true);
   constexpr int kRepeats = 5;
@@ -261,17 +259,17 @@ int run_metrics_overhead(infer::InferenceEngine& engine,
 
   // Warm both arms once (thread pool spin-up, page faults).
   run_cell(engine, Dispatch::Batched, infer::TopKMode::Dense, queries, total, clients,
-           batch_max, delay_us, &disabled);
+           batch_max, &disabled);
   run_cell(engine, Dispatch::Batched, infer::TopKMode::Dense, queries, total, clients,
-           batch_max, delay_us, &enabled);
+           batch_max, &enabled);
 
   double qps_off = 0.0, qps_on = 0.0;
   for (int rep = 0; rep < kRepeats; ++rep) {
     qps_off += run_cell(engine, Dispatch::Batched, infer::TopKMode::Dense, queries,
-                        total, clients, batch_max, delay_us, &disabled)
+                        total, clients, batch_max, &disabled)
                    .qps;
     qps_on += run_cell(engine, Dispatch::Batched, infer::TopKMode::Dense, queries,
-                       total, clients, batch_max, delay_us, &enabled)
+                       total, clients, batch_max, &enabled)
                   .qps;
   }
   qps_off /= kRepeats;
@@ -362,7 +360,6 @@ int run_connection_sweep(infer::InferenceEngine& engine,
 
       serve::ServerConfig scfg;
       scfg.policy.max_batch_size = bench::env_size("SLIDE_SERVE_BATCH_MAX", 64);
-      scfg.policy.max_queue_delay_us = bench::env_size("SLIDE_SERVE_DELAY_US", 200);
       scfg.queue_capacity = 4096;
       scfg.admission = serve::Admission::Reject;
       scfg.k = 5;
@@ -453,7 +450,6 @@ int run_chaos(infer::InferenceEngine& engine,
 
   serve::ServerConfig scfg;
   scfg.policy.max_batch_size = bench::env_size("SLIDE_SERVE_BATCH_MAX", 32);
-  scfg.policy.max_queue_delay_us = bench::env_size("SLIDE_SERVE_DELAY_US", 200);
   scfg.queue_capacity = 64;  // small on purpose: pressure should actually trip
   scfg.admission = serve::Admission::Reject;
   scfg.k = 5;
@@ -581,7 +577,6 @@ int main(int argc, char** argv) {
   const auto max_clients =
       static_cast<unsigned>(bench::env_size("SLIDE_BENCH_CLIENTS", 8));
   const std::size_t batch_max = bench::env_size("SLIDE_SERVE_BATCH_MAX", 64);
-  const std::uint64_t delay_us = bench::env_size("SLIDE_SERVE_DELAY_US", 200);
 
   std::vector<data::SparseVectorView> queries;
   const std::size_t nq = std::min(w.test.size(), total);
@@ -599,8 +594,7 @@ int main(int argc, char** argv) {
   }
   if (metrics_overhead) {
     infer::InferenceEngine engine(packed_fp32);
-    return run_metrics_overhead(engine, queries, total, max_clients, batch_max,
-                                delay_us);
+    return run_metrics_overhead(engine, queries, total, max_clients, batch_max);
   }
 
   const infer::PackedModel packed_bf16 =
@@ -608,9 +602,8 @@ int main(int argc, char** argv) {
   const infer::PackedModel packed_int8 =
       infer::PackedModel::freeze(net, Precision::Int8, queries, {});
 
-  std::printf("model: %zu params; %zu queries/cell; batch-max=%zu delay-us=%llu\n",
-              packed_fp32.num_params(), total, batch_max,
-              static_cast<unsigned long long>(delay_us));
+  std::printf("model: %zu params; %zu queries/cell; batch-max=%zu\n",
+              packed_fp32.num_params(), total, batch_max);
   std::printf("%-6s %-8s %-9s %7s %10s %8s %8s %8s %9s\n", "prec", "mode", "dispatch",
               "clients", "QPS", "p50us", "p95us", "p99us", "avg_batch");
   bench::print_rule(80);
@@ -629,7 +622,7 @@ int main(int argc, char** argv) {
         for (const Dispatch d :
              {Dispatch::Direct, Dispatch::PerRequest, Dispatch::Batched}) {
           const RunResult r =
-              run_cell(engine, d, mode, queries, total, clients, batch_max, delay_us);
+              run_cell(engine, d, mode, queries, total, clients, batch_max);
           print_row(prec_names[p], mode_name, d, clients, r);
         }
       }

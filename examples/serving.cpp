@@ -3,12 +3,12 @@
 //   ./example_serving
 //
 // Trains a small SLIDE classifier, freezes it, and stands up the full
-// serving stack in-process: an InferenceEngine behind a BatchingServer with
-// a (max_batch_size, max_queue_delay_us) coalescing policy, fronted here by
-// client threads instead of the TCP layer (see `slide_cli serve` for the
-// wire version).  Eight closed-loop clients fire single-query requests; the
-// dispatcher coalesces them into engine batches, and per-request futures
-// complete as each query finishes.  Ends with the server's own telemetry:
+// serving stack in-process: an InferenceEngine behind a BatchingServer,
+// fronted here by client threads instead of the TCP layer (see `slide_cli
+// serve` for the wire version).  Eight closed-loop clients fire single-query
+// requests; the requests that queue while one engine batch runs form the
+// next batch (up to max_batch_size), and per-request futures complete as
+// each query finishes.  Ends with the server's own telemetry:
 // batch-size amortization and p50/p95/p99 latency.
 #include <cstdio>
 #include <thread>
@@ -47,10 +47,9 @@ int main() {
   const infer::PackedModel packed = infer::PackedModel::freeze(net);
   infer::InferenceEngine engine(packed);
 
-  // 2. Serving stack: bounded queue, blocking admission, 200us batch window.
+  // 2. Serving stack: bounded queue, blocking admission, batches of <= 64.
   serve::ServerConfig scfg;
   scfg.policy.max_batch_size = 64;
-  scfg.policy.max_queue_delay_us = 200;
   scfg.queue_capacity = 512;
   scfg.admission = serve::Admission::Block;
   scfg.k = 5;

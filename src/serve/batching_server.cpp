@@ -22,10 +22,6 @@ std::uint64_t micros_between(Clock::time_point a, Clock::time_point b) {
   return us <= 0 ? 0 : static_cast<std::uint64_t>(us);
 }
 
-unsigned pool_width(ThreadPool* pool) {
-  return (pool != nullptr ? *pool : global_pool()).size();
-}
-
 Clock::time_point deadline_from_budget(Clock::time_point now, std::uint64_t budget_us) {
   if (budget_us == 0) return kNoDeadline;
   const auto budget = std::chrono::microseconds(budget_us);
@@ -39,14 +35,6 @@ BatchingServer::BatchingServer(infer::InferenceEngine& engine, ServerConfig conf
     : engine_(engine),
       config_(std::move(config)),
       effective_batch_(std::max<std::size_t>(1, config_.policy.max_batch_size)),
-      // Waiting for a batch to fill only pays when the engine can execute
-      // the bigger batch in parallel; on a 1-thread pool total work is
-      // serial either way, so any coalescing wait is pure added latency.
-      // There the server degenerates to accumulation batching: dispatch
-      // whatever queued while the last batch ran.
-      delay_(pool_width(config_.pool) > 1
-                 ? std::chrono::microseconds(config_.policy.max_queue_delay_us)
-                 : std::chrono::microseconds(0)),
       owned_metrics_(config_.metrics != nullptr
                          ? nullptr
                          : std::make_unique<obs::MetricsRegistry>()),
@@ -66,6 +54,8 @@ BatchingServer::BatchingServer(infer::InferenceEngine& engine, ServerConfig conf
       errors_(metrics_.counter("slide_requests_error_total",
                                "Requests failed by an engine error")),
       batches_(metrics_.counter("slide_batches_total", "Batches dispatched")),
+      batch_queries_(metrics_.histogram("slide_batch_queries",
+                                        "Queries per dispatched batch")),
       queue_depth_gauge_(metrics_.gauge("slide_queue_depth",
                                         "Backlog at the last batch formation")),
       load_state_gauge_(metrics_.gauge(
@@ -215,12 +205,6 @@ void BatchingServer::sweep_expired_locked(Clock::time_point now) {
   }
 }
 
-Clock::time_point BatchingServer::earliest_deadline_locked() const {
-  auto earliest = kNoDeadline;
-  for (const Pending& p : queue_) earliest = std::min(earliest, p.deadline);
-  return earliest;
-}
-
 void BatchingServer::publish_load_state(std::size_t backlog) {
   if (config_.pressure.degrade_p99_us != 0 &&
       batches_.value() % kLatencyCheckInterval == 0) {
@@ -261,6 +245,7 @@ void BatchingServer::dispatcher_main() {
 
   for (;;) {
     bool degraded = false;
+    batch.clear();
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_cv_.wait(lock, [&] {
@@ -268,80 +253,40 @@ void BatchingServer::dispatcher_main() {
       });
       if (queue_.empty()) return;  // stopping and fully drained
 
-      auto now = Clock::now();
-      sweep_expired_locked(now);
-
-      // Coalescing window: wait for the batch to fill, but never past the
-      // oldest request's window NOR the earliest queued deadline (a request
-      // must be shed the moment it expires, not a window later), and bail
-      // out as soon as arrivals stall — once every closed-loop client is
-      // parked in the queue waiting on us, further waiting is pure added
-      // latency.  Stall is checked once per tick (a fraction of the window,
-      // floored so the check itself stays cheap); draining flushes
-      // immediately.
-      if (!queue_.empty()) {
-        const auto window_end = queue_.front().enqueued + delay_;
-        const auto stall_tick = std::max(delay_ / 8, std::chrono::microseconds(20));
-        std::size_t last_size = queue_.size();
-        while (queue_.size() < effective_batch_ &&
-               !stopping_.load(std::memory_order_relaxed)) {
-          now = Clock::now();
-          // Recomputed every tick: new arrivals may carry tighter deadlines.
-          const auto wait_end = std::min(window_end, earliest_deadline_locked());
-          if (now >= wait_end) break;
-          work_cv_.wait_until(lock, std::min(wait_end, now + stall_tick), [&] {
-            return queue_.size() >= effective_batch_ ||
-                   stopping_.load(std::memory_order_relaxed);
-          });
-          if (queue_.size() == last_size) break;  // no growth in a full tick
-          last_size = queue_.size();
-        }
-        sweep_expired_locked(Clock::now());
-      }
-
-      if (queue_.empty()) {
-        // Everything queued expired while coalescing; answer and re-wait.
-        lock.unlock();
-        space_cv_.notify_all();
-        complete_expired();
-        continue;
-      }
-
+      // Work-conserving formation: an idle dispatcher serves what is queued
+      // now, with no timed wait.  Requests that arrive while this batch runs
+      // form the next one.
+      sweep_expired_locked(Clock::now());
       const std::size_t backlog = queue_.size();
-      publish_load_state(backlog);
-      // Graceful degradation: under pressure a Dense server answers from
-      // the LSH-sampled path — SLIDE's accuracy/speed tradeoff as a load
-      // lever.  Decided per batch, while the formation lock pins the state.
-      degraded = config_.pressure.allow_degrade &&
-                 config_.mode == infer::TopKMode::Dense &&
-                 load_state() != LoadState::Normal;
-
-      // Pipelining: when not draining, cap the batch at half the backlog
-      // (rounded up) so the queue is never swept empty — with the whole
-      // backlog in flight, every just-served client resubmits against an
-      // idle dispatcher and each batch boundary pays a full drain-and-
-      // refill convoy.  Leaving work queued keeps the dispatcher and the
-      // producers overlapped.
-      std::size_t take = std::min(effective_batch_, backlog);
-      if (!stopping_.load(std::memory_order_relaxed) && take == backlog && take > 1) {
-        take = (backlog + 1) / 2;
-      }
-      batch.clear();
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
+      if (backlog > 0) {
+        publish_load_state(backlog);
+        // Graceful degradation: under pressure a Dense server answers from
+        // the LSH-sampled path — SLIDE's accuracy/speed tradeoff as a load
+        // lever.  Decided per batch, while the formation lock pins the state.
+        degraded = config_.pressure.allow_degrade &&
+                   config_.mode == infer::TopKMode::Dense &&
+                   load_state() != LoadState::Normal;
+        const std::size_t take = std::min(effective_batch_, backlog);
+        batch.reserve(take);
+        for (std::size_t i = 0; i < take; ++i) {
+          batch.push_back(std::move(queue_.front()));
+          queue_.pop_front();
+        }
       }
     }
     space_cv_.notify_all();
     complete_expired();
-    run_batch(batch, degraded);
+    if (!batch.empty()) run_batch(batch, degraded);
   }
 }
 
 void BatchingServer::run_batch(std::vector<Pending>& batch, bool degraded) {
   const auto formed = Clock::now();
   const std::size_t n = batch.size();
+  // Counted at dispatch, before any reply completes, so a client that holds
+  // its reply also sees its batch in the counters.
+  batches_.inc();
+  batch_queries_.record(n);
   std::size_t k = std::min<std::size_t>(config_.k, engine_.model().output_dim());
   k = std::max<std::size_t>(1, k);
   const infer::TopKMode mode = degraded ? infer::TopKMode::Sampled : config_.mode;
@@ -410,7 +355,6 @@ void BatchingServer::run_batch(std::vector<Pending>& batch, bool degraded) {
       complete(batch[q], std::move(reply));
     }
   }
-  batches_.inc();
 }
 
 ServerStats BatchingServer::stats() const {

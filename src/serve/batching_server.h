@@ -4,29 +4,24 @@
 // point amortizes thread-pool wakeups and keeps the blocked dot_rows_*
 // kernels fed — the same batching effect SLIDE exploits in training.  This
 // server closes the gap: concurrent producers submit single queries, a
-// dispatcher coalesces them into batches under a
-// (max_batch_size, max_queue_delay_us) policy, and per-request futures
-// complete as soon as the engine finishes each query.
+// dispatcher coalesces them into batches of at most `max_batch_size`, and
+// per-request futures complete as soon as the engine finishes each query.
 //
-// Batch formation rule: a batch dispatches the moment `max_batch_size`
-// requests are queued, `max_queue_delay_us` after the OLDEST queued request
-// arrived, or as soon as arrivals stall within the window — whichever comes
-// first.  Delay 0 (or batch size 1) degenerates to per-request dispatch —
-// the bench's control arm.  Two deliberate refinements to the naive rule:
-//   * The coalescing wait is skipped entirely when the engine pool has one
-//     thread (waiting can only pay when the bigger batch executes in
-//     parallel; serially it is pure added latency), leaving accumulation
-//     batching: each dispatch takes what queued while the last batch ran.
-//   * A dispatch takes at most half the backlog (rounded up), so the queue
-//     is never swept empty and the dispatcher stays overlapped with
-//     clients that are resubmitting.
+// Batch formation is work-conserving: the moment the queue is non-empty and
+// no batch is running, the dispatcher takes every queued request, in FIFO
+// order, up to `max_batch_size`, with no timed wait.  Requests coalesce only
+// while a batch runs: whatever arrives during one batch forms the next.  An
+// idle server therefore answers a lone request at engine speed, and batches
+// grow with the load, because a busier engine lets more requests queue
+// behind each batch.  Batch size 1 is per-request dispatch — the bench's
+// control arm.  `slide_batch_queries` records each batch's size.
 //
 // Deadlines: a request may carry a microsecond budget (deadline_us;
-// 0 = none).  Expired requests are shed with RequestStatus::DeadlineExceeded
-// BEFORE dispatch — the engine never burns kernel time on an answer nobody
-// is waiting for — and the coalescing wait never sleeps past the earliest
-// deadline in the queue, so expiry is detected promptly, not at the end of
-// the batch window.
+// 0 = none).  Every formation first sheds the queued requests whose
+// deadline has passed, with RequestStatus::DeadlineExceeded — the engine
+// never burns kernel time on an answer nobody is waiting for.  A request
+// that expires while a batch runs is detected when that batch returns;
+// there is no coalescing wait to bound.
 //
 // Load shedding with graceful degradation: the dispatcher derives a
 // ServerLoadState from queue fill (and optionally the p99 of the latency
@@ -94,7 +89,6 @@ inline const char* load_state_name(LoadState s) {
 
 struct BatchPolicy {
   std::size_t max_batch_size = 64;
-  std::uint64_t max_queue_delay_us = 200;
 };
 
 // Overload thresholds for graceful degradation and deadline-aware shedding.
@@ -261,9 +255,6 @@ class BatchingServer {
   // Moves expired requests out of the queue into `expired_` (caller
   // completes them outside the lock).  Requires mutex_ held.
   void sweep_expired_locked(std::chrono::steady_clock::time_point now);
-  // Earliest deadline currently queued (time_point::max() when none).
-  // Requires mutex_ held.
-  std::chrono::steady_clock::time_point earliest_deadline_locked() const;
   void publish_load_state(std::size_t backlog);
 
   // Dispatcher-thread-only scratch, reused across batches.
@@ -275,7 +266,6 @@ class BatchingServer {
   infer::InferenceEngine& engine_;
   const ServerConfig config_;
   const std::size_t effective_batch_;  // >= 1
-  const std::chrono::microseconds delay_;
 
   // One source of truth for every counter/gauge/histogram below: either the
   // caller's registry (config.metrics) or a private one owned here.  The
@@ -292,6 +282,7 @@ class BatchingServer {
   obs::Counter& degraded_;
   obs::Counter& errors_;
   obs::Counter& batches_;
+  obs::Histogram& batch_queries_;
   obs::Gauge& queue_depth_gauge_;
   obs::Gauge& load_state_gauge_;
   obs::Histogram& queue_us_;

@@ -171,9 +171,11 @@ bool FaultInjector::should_fail(FaultPoint p) {
 }
 
 bool FaultInjector::maybe_delay(FaultPoint p) {
-  if (!should_fail(p)) return false;
+  // Read before should_fail(): spending a budget's last trigger disarms the
+  // point, which zeroes its parameter.
   const std::uint64_t us =
       points_[static_cast<std::size_t>(p)].param_us.load(std::memory_order_relaxed);
+  if (!should_fail(p)) return false;
   if (us != 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
   return true;
 }

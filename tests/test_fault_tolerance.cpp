@@ -21,6 +21,7 @@
 #include "data/synthetic.h"
 #include "infer/engine.h"
 #include "infer/packed_model.h"
+#include "park_dispatcher.h"
 #include "serve/batching_server.h"
 #include "serve/protocol.h"
 #include "serve/tcp_server.h"
@@ -89,16 +90,21 @@ class FaultToleranceTest : public ::testing::Test {
 infer::PackedModel* FaultToleranceTest::model_ = nullptr;
 data::Dataset* FaultToleranceTest::queries_ = nullptr;
 
-// A server whose dispatcher will not fire on its own for 10s: requests sit
-// queued, so deadline/shedding behavior is deterministic.
+// A server for tests that park its dispatcher inside a first batch
+// (park_dispatcher.h): the requests submitted meanwhile sit queued until
+// that batch returns, so deadline/shedding behavior is deterministic, and
+// one batch then takes the whole backlog.
 serve::ServerConfig parked_config() {
   serve::ServerConfig cfg;
   cfg.policy.max_batch_size = 1024;
-  cfg.policy.max_queue_delay_us = 10000000;
   cfg.queue_capacity = 256;
   cfg.k = 5;
   return cfg;
 }
+
+// How long a parked first batch holds the dispatcher: far longer than the
+// tests need to submit the requests that must queue behind it.
+constexpr std::chrono::milliseconds kPark{200};
 
 // --- CRC32C ----------------------------------------------------------------
 
@@ -144,33 +150,44 @@ TEST_F(FaultToleranceTest, InjectorTriggerBudgetDisarmsItself) {
   // Budget spent: the point disarmed itself.
   EXPECT_FALSE(fi.should_fail(util::FaultPoint::EngineFail));
   EXPECT_FALSE(fi.enabled());
+
+  // A delay point sleeps on every budgeted trigger, the last one included.
+  fi.set(util::FaultPoint::EngineDelay, 1.0, /*param_us=*/20000, /*max_triggers=*/1);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(fi.maybe_delay(util::FaultPoint::EngineDelay));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(20));
+  EXPECT_FALSE(fi.maybe_delay(util::FaultPoint::EngineDelay));
+  EXPECT_FALSE(fi.enabled());
 }
 
 // --- deadlines and shedding ------------------------------------------------
 
 TEST_F(FaultToleranceTest, ExpiredRequestIsShedBeforeDispatch) {
   infer::InferenceEngine engine(model());
-  ThreadPool pool(4);  // coalescing window live (single-thread pools skip it)
+  ThreadPool pool(4);
   serve::ServerConfig cfg = parked_config();
   cfg.pool = &pool;
   serve::BatchingServer server(engine, cfg);
 
-  // The batch window is 10s but the deadline is 2ms: the dispatcher must
-  // wake at the deadline and shed, not serve the request 10s late.
+  // The dispatcher is parked in a 200ms batch but the deadline is 2ms: the
+  // next formation must shed the request, not serve it late.
+  ParkedDispatcher park(kPark);
+  std::future<serve::Reply> parked = server.submit(queries().features(1));
+  ASSERT_TRUE(park.wait());
   const auto t0 = std::chrono::steady_clock::now();
   serve::Reply r = server.submit(queries().features(0), 5, /*deadline_us=*/2000).get();
   const auto waited = std::chrono::steady_clock::now() - t0;
   EXPECT_EQ(r.status, serve::RequestStatus::DeadlineExceeded);
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(waited).count(), 2000);
+  EXPECT_EQ(parked.get().status, serve::RequestStatus::Ok);
   EXPECT_EQ(server.stats().expired, 1u);
-  EXPECT_EQ(server.stats().completed, 0u);
+  EXPECT_EQ(server.stats().completed, 1u);  // the parked request only
 }
 
 TEST_F(FaultToleranceTest, NoDeadlineMeansNoExpiry) {
   infer::InferenceEngine engine(model());
   serve::ServerConfig cfg;
   cfg.policy.max_batch_size = 8;
-  cfg.policy.max_queue_delay_us = 200;
   cfg.k = 5;
   serve::BatchingServer server(engine, cfg);
   serve::Reply r = server.submit(queries().features(0), 5, /*deadline_us=*/0).get();
@@ -187,6 +204,9 @@ TEST_F(FaultToleranceTest, SaturatedQueueShedsMostSlackFirst) {
   cfg.admission = serve::Admission::Reject;
   serve::BatchingServer server(engine, cfg);
 
+  ParkedDispatcher park(kPark);
+  std::future<serve::Reply> in_flight = server.submit(queries().features(6));
+  ASSERT_TRUE(park.wait());
   // Fill the queue with no-deadline requests (infinite slack)...
   std::vector<std::future<serve::Reply>> parked;
   for (int i = 0; i < 4; ++i) {
@@ -211,6 +231,7 @@ TEST_F(FaultToleranceTest, SaturatedQueueShedsMostSlackFirst) {
   EXPECT_EQ(served, 2u);  // the rest of the parked requests still served
   EXPECT_EQ(urgent.get().status, serve::RequestStatus::Ok);
   EXPECT_EQ(urgent2.get().status, serve::RequestStatus::Ok);
+  EXPECT_EQ(in_flight.get().status, serve::RequestStatus::Ok);
   EXPECT_EQ(server.stats().shed, 2u);
 }
 
@@ -224,6 +245,9 @@ TEST_F(FaultToleranceTest, PressureDegradesDenseToSampledAndFlagsReplies) {
   cfg.pressure.degrade_fill = 0.01;  // any non-empty backlog trips Pressure
   serve::BatchingServer server(engine, cfg);
 
+  ParkedDispatcher park(kPark);
+  std::future<serve::Reply> in_flight = server.submit(queries().features(0));
+  ASSERT_TRUE(park.wait());
   std::vector<std::future<serve::Reply>> futures;
   for (int i = 0; i < 32; ++i) {
     futures.push_back(server.submit(queries().features(i % 8)));
@@ -236,7 +260,9 @@ TEST_F(FaultToleranceTest, PressureDegradesDenseToSampledAndFlagsReplies) {
     degraded += r.degraded;
   }
   EXPECT_EQ(degraded, futures.size());  // the whole backlog went sampled
-  EXPECT_EQ(server.stats().degraded, futures.size());
+  // The parked request's backlog of one (1/64 of the queue) tripped it too.
+  EXPECT_TRUE(in_flight.get().degraded);
+  EXPECT_EQ(server.stats().degraded, futures.size() + 1);
 }
 
 TEST_F(FaultToleranceTest, DegradationRespectsMasterSwitch) {
@@ -248,7 +274,10 @@ TEST_F(FaultToleranceTest, DegradationRespectsMasterSwitch) {
   cfg.pressure.degrade_fill = 0.01;
   cfg.pressure.allow_degrade = false;
   serve::BatchingServer server(engine, cfg);
+  ParkedDispatcher park(kPark);
   std::vector<std::future<serve::Reply>> futures;
+  futures.push_back(server.submit(queries().features(0)));
+  ASSERT_TRUE(park.wait());
   for (int i = 0; i < 32; ++i) futures.push_back(server.submit(queries().features(i % 8)));
   server.drain();
   for (auto& f : futures) EXPECT_FALSE(f.get().degraded);
@@ -261,7 +290,6 @@ TEST_F(FaultToleranceTest, EngineFailureCompletesRequestsWithErrorAndRecovers) {
   infer::InferenceEngine engine(model());
   serve::ServerConfig cfg;
   cfg.policy.max_batch_size = 1;  // one request per batch: deterministic
-  cfg.policy.max_queue_delay_us = 0;
   cfg.k = 5;
   serve::BatchingServer server(engine, cfg);
 
@@ -282,7 +310,6 @@ TEST_F(FaultToleranceTest, AdmissionFaultBouncesOneRequest) {
   infer::InferenceEngine engine(model());
   serve::ServerConfig cfg;
   cfg.policy.max_batch_size = 1;
-  cfg.policy.max_queue_delay_us = 0;
   cfg.k = 5;
   serve::BatchingServer server(engine, cfg);
 
@@ -299,7 +326,6 @@ TEST_F(FaultToleranceTest, AdmissionFaultBouncesOneRequest) {
 serve::ServerConfig fast_config() {
   serve::ServerConfig cfg;
   cfg.policy.max_batch_size = 16;
-  cfg.policy.max_queue_delay_us = 500;
   cfg.queue_capacity = 256;
   cfg.k = 5;
   return cfg;
@@ -318,10 +344,14 @@ TEST_F(FaultToleranceTest, DeadlineRidesTheWire) {
 
     serve::TcpClient client("127.0.0.1", tcp->port());
     serve::QueryReply reply;
-    // 2ms budget against a 10s batch window: the server must shed, and the
-    // client must see the typed status, well before the window closes.
+    // 2ms budget against a dispatcher parked in a 200ms batch: the server
+    // must shed, and the client must see the typed status.
+    ParkedDispatcher park(kPark);
+    std::future<serve::Reply> parked = server.submit(queries().features(1));
+    ASSERT_TRUE(park.wait());
     ASSERT_TRUE(client.query(queries().features(0), 5, reply, /*deadline_us=*/2000));
     EXPECT_EQ(reply.status, serve::Status::DeadlineExceeded);
+    EXPECT_EQ(parked.get().status, serve::RequestStatus::Ok);
     tcp->stop();
   }
 }

@@ -5,10 +5,13 @@
 // seam.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "data/synthetic.h"
 #include "infer/engine.h"
 #include "infer/packed_model.h"
+#include "park_dispatcher.h"
 #include "serve/batching_server.h"
 #include "serve/protocol.h"
 #include "serve/tcp_server.h"
@@ -76,7 +80,6 @@ data::Dataset* ServingTest::queries_ = nullptr;
 serve::ServerConfig batching_config() {
   serve::ServerConfig cfg;
   cfg.policy.max_batch_size = 16;
-  cfg.policy.max_queue_delay_us = 500;
   cfg.queue_capacity = 256;
   cfg.k = 5;
   return cfg;
@@ -130,37 +133,38 @@ TEST_F(ServingTest, PerRequestKCapsTheReply) {
 
 TEST_F(ServingTest, RejectAdmissionBouncesOverload) {
   infer::InferenceEngine engine(model());
-  ThreadPool pool(4);  // multi-thread pool so the coalescing window is live
+  ThreadPool pool(4);
   serve::ServerConfig cfg;
-  cfg.policy.max_batch_size = 1024;          // never fills...
-  cfg.policy.max_queue_delay_us = 10000000;  // ...and the window is 10s,
-  cfg.queue_capacity = 4;                    // so the queue stays full
+  cfg.policy.max_batch_size = 1024;
+  cfg.queue_capacity = 4;
   cfg.admission = serve::Admission::Reject;
   cfg.pool = &pool;
   serve::BatchingServer server(engine, cfg);
 
+  // The first request parks the dispatcher inside its batch, so the queue
+  // fills and stays full while the next 12 arrive.
+  ParkedDispatcher park(std::chrono::milliseconds(200));
   std::vector<std::future<serve::Reply>> futures;
-  for (std::size_t i = 0; i < 12; ++i) {
+  futures.push_back(server.submit(queries().features(0)));
+  ASSERT_TRUE(park.wait());
+  for (std::size_t i = 1; i <= 12; ++i) {
     futures.push_back(server.submit(queries().features(i % queries().size())));
   }
-  // The dispatcher may have started forming (and thus dequeued) at most one
-  // batch window's worth; with a 10s window nothing has been taken yet, so
-  // exactly queue_capacity requests were accepted.
+  // Accepted: the parked request plus exactly queue_capacity queued ones.
   std::size_t rejected = 0;
-  server.drain();  // flushes the waiting batch immediately
+  server.drain();
   for (auto& f : futures) {
     if (f.get().status == serve::RequestStatus::Rejected) ++rejected;
   }
-  EXPECT_EQ(rejected, futures.size() - cfg.queue_capacity);
+  EXPECT_EQ(rejected, futures.size() - (cfg.queue_capacity + 1));
   EXPECT_EQ(server.stats().rejected, rejected);
-  EXPECT_EQ(server.stats().completed, cfg.queue_capacity);
+  EXPECT_EQ(server.stats().completed, cfg.queue_capacity + 1);
 }
 
 TEST_F(ServingTest, BlockAdmissionCompletesEverythingWithBoundedQueue) {
   infer::InferenceEngine engine(model());
   serve::ServerConfig cfg;
   cfg.policy.max_batch_size = 4;
-  cfg.policy.max_queue_delay_us = 100;
   cfg.queue_capacity = 2;  // tiny: producers must block, not fail
   cfg.admission = serve::Admission::Block;
   serve::BatchingServer server(engine, cfg);
@@ -187,18 +191,22 @@ TEST_F(ServingTest, BlockAdmissionCompletesEverythingWithBoundedQueue) {
 
 TEST_F(ServingTest, DrainCompletesAllAcceptedThenRefuses) {
   infer::InferenceEngine engine(model());
-  ThreadPool pool(4);  // multi-thread pool so the coalescing window is live
+  ThreadPool pool(4);
   serve::ServerConfig cfg;
   cfg.policy.max_batch_size = 1024;
-  cfg.policy.max_queue_delay_us = 10000000;  // nothing dispatches on its own
   cfg.queue_capacity = 64;
   cfg.pool = &pool;
   serve::BatchingServer server(engine, cfg);
 
+  // Drain while one batch runs and 20 requests wait behind it.
+  ParkedDispatcher park(std::chrono::milliseconds(200));
   std::vector<std::future<serve::Reply>> futures;
-  for (std::size_t i = 0; i < 20; ++i) {
+  futures.push_back(server.submit(queries().features(0)));
+  ASSERT_TRUE(park.wait());
+  for (std::size_t i = 1; i <= 20; ++i) {
     futures.push_back(server.submit(queries().features(i % queries().size())));
   }
+  EXPECT_EQ(server.stats().queue_depth, 20u);
   server.drain();
   for (auto& f : futures) EXPECT_EQ(f.get().status, serve::RequestStatus::Ok);
 
@@ -206,6 +214,84 @@ TEST_F(ServingTest, DrainCompletesAllAcceptedThenRefuses) {
   serve::Reply after = server.submit(queries().features(0)).get();
   EXPECT_EQ(after.status, serve::RequestStatus::ShuttingDown);
   EXPECT_TRUE(server.draining());
+}
+
+// Reads the value of one exposed series line ("<series> <value>"); -1 when
+// the series is absent.
+double exposed_value(const std::string& text, const std::string& series) {
+  const std::string key = "\n" + series + " ";
+  const auto at = text.find(key);
+  return at == std::string::npos ? -1.0 : std::stod(text.substr(at + key.size()));
+}
+
+TEST_F(ServingTest, CoalescesOnlyWhileABatchRuns) {
+  infer::InferenceEngine engine(model());
+  ThreadPool pool(4);
+  const auto ns = [](std::chrono::steady_clock::time_point t) {
+    return t.time_since_epoch().count();
+  };
+  for (const std::size_t max_batch : {std::size_t{64}, std::size_t{8}}) {
+    SCOPED_TRACE(max_batch);
+    serve::ServerConfig cfg;
+    cfg.policy.max_batch_size = max_batch;
+    cfg.pool = &pool;
+    serve::BatchingServer server(engine, cfg);
+
+    // An idle dispatcher serves what is queued at once: a request submitted
+    // after the previous reply forms a batch of its own.
+    constexpr std::size_t kSequential = 5;
+    for (std::size_t i = 0; i < kSequential; ++i) {
+      const serve::Reply r = server.submit(queries().features(i)).get();
+      ASSERT_EQ(r.status, serve::RequestStatus::Ok);
+      EXPECT_EQ(server.stats().batches, i + 1);
+    }
+
+    // Requests that arrive while a batch runs form the next batches, in
+    // FIFO order and max_batch at a time.
+    constexpr std::size_t kQueued = 20;
+    ParkedDispatcher park(std::chrono::milliseconds(200));
+    std::future<serve::Reply> parked = server.submit(queries().features(0));
+    ASSERT_TRUE(park.wait());
+    std::vector<std::future<serve::Reply>> futures;
+    for (std::size_t i = 0; i < kQueued; ++i) {
+      futures.push_back(server.submit(queries().features(i)));
+    }
+    std::vector<serve::Reply> replies;
+    replies.push_back(parked.get());
+    for (auto& f : futures) replies.push_back(f.get());
+
+    // Replies sharing a formation stamp rode one batch.  Walking them in
+    // submission order, a new stamp opens the next batch, which formed only
+    // after every reply of the previous one was final.
+    std::vector<std::size_t> sizes;
+    std::int64_t last_inferred = 0;
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+      const serve::Reply& r = replies[i];
+      ASSERT_EQ(r.status, serve::RequestStatus::Ok) << i;
+      if (i == 0 || r.timing.formed != replies[i - 1].timing.formed) {
+        EXPECT_GE(ns(r.timing.formed), last_inferred) << i;
+        sizes.push_back(0);
+      }
+      ++sizes.back();
+      last_inferred = std::max(last_inferred, ns(r.timing.inferred));
+    }
+    const std::vector<std::size_t> want =
+        max_batch == 64 ? std::vector<std::size_t>{1, 20}
+                        : std::vector<std::size_t>{1, 8, 8, 4};
+    EXPECT_EQ(sizes, want);
+
+    // slide_batch_queries holds one sample per batch: the sequential ones,
+    // the parked one and the batches of the 20.
+    const std::string text = server.metrics().expose();
+    EXPECT_NE(text.find("# TYPE slide_batch_queries summary\n"), std::string::npos);
+    const double batches = static_cast<double>(kSequential + want.size());
+    EXPECT_EQ(exposed_value(text, "slide_batch_queries_count"), batches);
+    EXPECT_EQ(exposed_value(text, "slide_batches_total"), batches);
+    EXPECT_EQ(exposed_value(text, "slide_batch_queries_sum"),
+              static_cast<double>(kSequential + 1 + kQueued));
+    EXPECT_EQ(exposed_value(text, "slide_batch_queries{quantile=\"0.99\"}"),
+              static_cast<double>(*std::max_element(want.begin(), want.end())));
+  }
 }
 
 TEST_F(ServingTest, ConcurrentClientsGetCorrectAnswers) {

@@ -78,7 +78,6 @@ TEST_F(TraceTest, QueuePlusInferCoversInProcessTotal) {
   obs::MetricsRegistry reg;
   serve::ServerConfig scfg;
   scfg.policy.max_batch_size = 16;
-  scfg.policy.max_queue_delay_us = 300;
   scfg.queue_capacity = 256;
   scfg.k = 5;
   scfg.metrics = &reg;
@@ -111,7 +110,6 @@ TEST_F(TraceTest, FourStagesPartitionEndToEndOverTheWire) {
     obs::MetricsRegistry reg;
     serve::ServerConfig scfg;
     scfg.policy.max_batch_size = 16;
-    scfg.policy.max_queue_delay_us = 300;
     scfg.queue_capacity = 256;
     scfg.k = 5;
     scfg.metrics = &reg;

@@ -21,6 +21,7 @@
 #include "core/network.h"
 #include "infer/engine.h"
 #include "infer/packed_model.h"
+#include "park_dispatcher.h"
 #include "serve/batching_server.h"
 #include "serve/protocol.h"
 #include "serve/tcp_server.h"
@@ -123,7 +124,6 @@ class BigReplyTransportTest : public ::testing::Test {
   static serve::ServerConfig big_config() {
     serve::ServerConfig cfg;
     cfg.policy.max_batch_size = 4;
-    cfg.policy.max_queue_delay_us = 500;
     cfg.k = kOutputs;  // allow full-output replies
     cfg.mode = infer::TopKMode::Dense;
     return cfg;
@@ -166,7 +166,6 @@ class SmallTransportTest : public ::testing::Test {
   static serve::ServerConfig fast_config() {
     serve::ServerConfig cfg;
     cfg.policy.max_batch_size = 64;
-    cfg.policy.max_queue_delay_us = 500;
     cfg.k = 64;
     cfg.mode = infer::TopKMode::Dense;
     return cfg;
@@ -363,27 +362,36 @@ TEST_F(SmallTransportTest, AcceptBackoffSurvivesFdExhaustion) {
 
 TEST_F(SmallTransportTest, EpollDrainFlushesInFlightReplies) {
   infer::InferenceEngine engine(model());
-  serve::ServerConfig cfg = fast_config();
-  cfg.policy.max_batch_size = 64;
-  cfg.policy.max_queue_delay_us = 300000;  // park the batch for 300ms
-  serve::BatchingServer server(engine, cfg);
+  serve::BatchingServer server(engine, fast_config());
   auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, {});
   tcp->start();
 
+  // The first query parks the dispatcher inside its batch for 300ms and the
+  // second waits in the batching queue behind it: stop() must flush both
+  // eventual replies, in request order, not orphan them.
+  ParkedDispatcher park(std::chrono::milliseconds(300));
   const int fd = raw_connect(tcp->port());
   ASSERT_GE(fd, 0);
-  const std::vector<std::uint8_t> req = frame(small_query(5));
-  ASSERT_TRUE(send_all(fd, req.data(), req.size()));
-  // Let the reactor parse + submit, then drain while the query is parked in
-  // the batching queue: stop() must flush the eventual reply, not orphan it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::vector<std::uint8_t> first = frame(small_query(5));
+  ASSERT_TRUE(send_all(fd, first.data(), first.size()));
+  ASSERT_TRUE(park.wait());
+  const std::vector<std::uint8_t> second = frame(small_query(3));
+  ASSERT_TRUE(send_all(fd, second.data(), second.size()));
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.stats().accepted < 2 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  ASSERT_EQ(server.stats().accepted, 2u);
   tcp->stop();
 
   serve::QueryReply reply;
   ASSERT_TRUE(read_reply(fd, reply));
   EXPECT_EQ(reply.status, serve::Status::Ok);
   EXPECT_EQ(reply.ids.size(), 5u);
-  // And nothing after it: the server closed the connection cleanly.
+  ASSERT_TRUE(read_reply(fd, reply));
+  EXPECT_EQ(reply.status, serve::Status::Ok);
+  EXPECT_EQ(reply.ids.size(), 3u);
+  // And nothing after them: the server closed the connection cleanly.
   std::uint8_t probe = 0;
   EXPECT_EQ(::recv(fd, &probe, 1, 0), 0);
   ::close(fd);

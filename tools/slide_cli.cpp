@@ -501,8 +501,8 @@ int cmd_serve(int argc, const char* const* argv) {
   args.add_string("bind", "127.0.0.1", "bind address");
   args.add_int("topk", 5, "ids per reply (per-request k is capped here)");
   args.add_string("mode", "dense", "dense (exact) | sampled (LSH candidates)");
-  args.add_int("batch-max", 64, "dispatch a batch at this many queued requests");
-  args.add_int("delay-us", 200, "max time a request waits for its batch to fill");
+  args.add_int("batch-max", 64,
+               "largest batch: an idle dispatcher takes up to this many queued requests");
   args.add_int("queue-cap", 1024, "bounded request-queue capacity");
   args.add_string("admission", "reject", "queue-full policy: reject | block");
   args.add_int("idle-timeout-ms", 0, "close idle connections after this (0 = never)");
@@ -592,8 +592,6 @@ int cmd_serve(int argc, const char* const* argv) {
   serve::ServerConfig scfg;
   scfg.policy.max_batch_size = static_cast<std::size_t>(std::max<std::int64_t>(
       1, args.get_int("batch-max")));
-  scfg.policy.max_queue_delay_us = static_cast<std::uint64_t>(std::max<std::int64_t>(
-      0, args.get_int("delay-us")));
   scfg.queue_capacity = static_cast<std::size_t>(std::max<std::int64_t>(
       1, args.get_int("queue-cap")));
   scfg.admission = admission_name == "block" ? serve::Admission::Block
@@ -633,7 +631,6 @@ int cmd_serve(int argc, const char* const* argv) {
   log_info("serve: model=", args.get_string("model"), " params=", packed.num_params(),
            " mode=", mode_name, " backend=", kernels::active_isa_name());
   log_info("serve: batch-max=", scfg.policy.max_batch_size,
-           " delay-us=", scfg.policy.max_queue_delay_us,
            " queue-cap=", scfg.queue_capacity, " admission=", admission_name,
            " degrade-fill=", scfg.pressure.degrade_fill,
            " idle-timeout-ms=", tcfg.idle_timeout_ms,
