@@ -3,7 +3,7 @@
 //
 //   ./bench_serving_latency                 # in-process sweep (default)
 //   ./bench_serving_latency --chaos         # fault-injection run (see below)
-//   ./bench_serving_latency --connections   # transport fan-in sweep (see below)
+//   ./bench_serving_latency --connections   # connection fan-in sweep (see below)
 //   ./bench_serving_latency --metrics-overhead  # telemetry on/off A/B cell
 //   SLIDE_SERVE_CONNECT=127.0.0.1:7070 \
 //   SLIDE_SERVE_QUERIES_FILE=q.test.txt \
@@ -35,14 +35,12 @@
 // degraded / error counts, so the overload machinery's cost is visible
 // rather than averaged away.  Override the fault spec with SLIDE_FAULTS.
 //
-// --connections is the high-fan-in transport sweep: for each transport
-// (thread-per-connection vs epoll) it parks a crowd of idle connections,
-// drives a small active subset closed-loop through TcpClients, and reports
-// QPS, p50/p95/p99, process RSS, and the marginal RSS per idle connection.
-// This is the experiment behind the epoll transport's existence: the
-// threaded front end pays a thread stack per idle peer, the reactors pay a
-// few hundred bytes.  Idle counts are clamped to RLIMIT_NOFILE (the soft
-// limit is raised to the hard limit first) and to SLIDE_BENCH_IDLE_CONNS.
+// --connections is the high-fan-in sweep of the epoll front end: it parks a
+// crowd of 0, 1024 and 4096 idle connections, drives a small active subset
+// closed-loop through TcpClients, and reports QPS, p50/p95/p99, process
+// RSS, and the marginal RSS per idle connection.  Idle counts are clamped
+// to RLIMIT_NOFILE (the soft limit is raised to the hard limit first) and
+// to SLIDE_BENCH_IDLE_CONNS.
 //
 // Env knobs: SLIDE_BENCH_SCALE, SLIDE_BENCH_EPOCHS, SLIDE_BENCH_QUERIES
 // (total per grid cell, default 2000), SLIDE_BENCH_CLIENTS (max client
@@ -70,7 +68,7 @@
 #include "infer/packed_model.h"
 #include "obs/metrics.h"
 #include "serve/batching_server.h"
-#include "serve/tcp_server.h"
+#include "serve/tcp_client.h"
 #include "serve/transport.h"
 #include "util/fault_injection.h"
 #include "util/histogram.h"
@@ -285,7 +283,7 @@ int run_metrics_overhead(infer::InferenceEngine& engine,
   return overhead < 5.0 ? 0 : 1;
 }
 
-// --- --connections: idle fan-in vs tail latency across transports -----------
+// --- --connections: idle fan-in vs tail latency ------------------------------
 
 std::size_t rss_kb() {
   std::FILE* f = std::fopen("/proc/self/status", "r");
@@ -339,97 +337,87 @@ int run_connection_sweep(infer::InferenceEngine& engine,
   std::printf("connections sweep: %zu queries per cell, %u active clients, "
               "idle cap %zu (fd limit %zu)\n",
               total, active, idle_cap, fd_limit);
-  std::printf("%-9s %6s %7s %10s %8s %8s %8s %9s %12s\n", "transport", "idle",
-              "active", "QPS", "p50us", "p95us", "p99us", "rss_mb", "kb/idleconn");
-  bench::print_rule(84);
+  std::printf("%6s %7s %10s %8s %8s %8s %9s %12s\n", "idle", "active", "QPS", "p50us",
+              "p95us", "p99us", "rss_mb", "kb/idleconn");
+  bench::print_rule(74);
 
   int rc = 0;
-  for (const serve::TransportKind kind :
-       {serve::TransportKind::Threads, serve::TransportKind::Epoll}) {
-    // The threaded transport pays a thread per idle peer, so its crowd stays
-    // small by design — that asymmetry is the point of the table.
-    std::vector<std::size_t> idle_counts =
-        kind == serve::TransportKind::Epoll
-            ? std::vector<std::size_t>{0, 1024, 4096}
-            : std::vector<std::size_t>{0, 256};
-    const std::size_t base_rss = rss_kb();
+  const std::size_t base_rss = rss_kb();
+  for (const std::size_t idle_target :
+       {std::size_t{0}, std::size_t{1024}, std::size_t{4096}}) {
+    const std::size_t idle = std::min(idle_target, idle_cap);
+    if (idle < idle_target && idle_target != 0) continue;  // over the fd budget
 
-    for (const std::size_t idle_target : idle_counts) {
-      const std::size_t idle = std::min(idle_target, idle_cap);
-      if (idle < idle_target && idle_target != 0) continue;  // over the fd budget
+    serve::ServerConfig scfg;
+    scfg.policy.max_batch_size = bench::env_size("SLIDE_SERVE_BATCH_MAX", 64);
+    scfg.queue_capacity = 4096;
+    scfg.admission = serve::Admission::Reject;
+    scfg.k = 5;
+    scfg.mode = infer::TopKMode::Dense;
+    serve::BatchingServer server(engine, scfg);
+    auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, {});
+    tcp->start();
 
-      serve::ServerConfig scfg;
-      scfg.policy.max_batch_size = bench::env_size("SLIDE_SERVE_BATCH_MAX", 64);
-      scfg.queue_capacity = 4096;
-      scfg.admission = serve::Admission::Reject;
-      scfg.k = 5;
-      scfg.mode = infer::TopKMode::Dense;
-      serve::BatchingServer server(engine, scfg);
-      auto tcp = serve::make_transport(kind, server, {});
-      tcp->start();
-
-      std::vector<int> parked;
-      parked.reserve(idle);
-      while (parked.size() < idle) {
-        const int fd = idle_connect(tcp->port());
-        if (fd < 0) break;  // fd budget exhausted; report what we got
-        parked.push_back(fd);
-      }
-
-      util::ShardedHistogram hist;
-      std::atomic<std::size_t> next{0};
-      std::atomic<std::size_t> failures{0};
-      Timer wall;
-      std::vector<std::thread> threads;
-      threads.reserve(active);
-      for (unsigned c = 0; c < active; ++c) {
-        threads.emplace_back([&] {
-          try {
-            serve::TcpClient client("127.0.0.1", tcp->port());
-            serve::QueryReply reply;
-            for (;;) {
-              const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-              if (i >= total) return;
-              Timer t;
-              if (!client.query_with_retry(queries[i % queries.size()], 5, reply) ||
-                  reply.status != serve::Status::Ok) {
-                failures.fetch_add(1, std::memory_order_relaxed);
-                continue;
-              }
-              hist.record(static_cast<std::uint64_t>(t.seconds() * 1e6));
-            }
-          } catch (const std::exception& e) {
-            std::fprintf(stderr, "client: %s\n", e.what());
-            failures.fetch_add(total, std::memory_order_relaxed);
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-      const double seconds = wall.seconds();
-      const std::size_t peak_rss = rss_kb();
-
-      const util::HistogramSnapshot s = hist.snapshot();
-      const double per_conn_kb =
-          parked.empty() ? 0.0
-                         : static_cast<double>(peak_rss > base_rss ? peak_rss - base_rss : 0) /
-                               static_cast<double>(parked.size());
-      std::printf("%-9s %6zu %7u %10.0f %8llu %8llu %8llu %9.1f %12.1f\n",
-                  serve::transport_name(kind), parked.size(), active,
-                  static_cast<double>(s.count) / seconds,
-                  static_cast<unsigned long long>(s.p50()),
-                  static_cast<unsigned long long>(s.p95()),
-                  static_cast<unsigned long long>(s.p99()),
-                  static_cast<double>(peak_rss) / 1024.0, per_conn_kb);
-      if (failures.load() != 0 || s.count == 0) rc = 1;
-      if (parked.size() < idle) {
-        std::printf("  (idle crowd clamped from %zu: out of fds)\n", idle);
-      }
-
-      for (const int fd : parked) ::close(fd);
-      tcp->stop();
+    std::vector<int> parked;
+    parked.reserve(idle);
+    while (parked.size() < idle) {
+      const int fd = idle_connect(tcp->port());
+      if (fd < 0) break;  // fd budget exhausted; report what we got
+      parked.push_back(fd);
     }
-    bench::print_rule(84);
+
+    util::ShardedHistogram hist;
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> failures{0};
+    Timer wall;
+    std::vector<std::thread> threads;
+    threads.reserve(active);
+    for (unsigned c = 0; c < active; ++c) {
+      threads.emplace_back([&] {
+        try {
+          serve::TcpClient client("127.0.0.1", tcp->port());
+          serve::QueryReply reply;
+          for (;;) {
+            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= total) return;
+            Timer t;
+            if (!client.query_with_retry(queries[i % queries.size()], 5, reply) ||
+                reply.status != serve::Status::Ok) {
+              failures.fetch_add(1, std::memory_order_relaxed);
+              continue;
+            }
+            hist.record(static_cast<std::uint64_t>(t.seconds() * 1e6));
+          }
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "client: %s\n", e.what());
+          failures.fetch_add(total, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    const double seconds = wall.seconds();
+    const std::size_t peak_rss = rss_kb();
+
+    const util::HistogramSnapshot s = hist.snapshot();
+    const double per_conn_kb =
+        parked.empty() ? 0.0
+                       : static_cast<double>(peak_rss > base_rss ? peak_rss - base_rss : 0) /
+                             static_cast<double>(parked.size());
+    std::printf("%6zu %7u %10.0f %8llu %8llu %8llu %9.1f %12.1f\n", parked.size(), active,
+                static_cast<double>(s.count) / seconds,
+                static_cast<unsigned long long>(s.p50()),
+                static_cast<unsigned long long>(s.p95()),
+                static_cast<unsigned long long>(s.p99()),
+                static_cast<double>(peak_rss) / 1024.0, per_conn_kb);
+    if (failures.load() != 0 || s.count == 0) rc = 1;
+    if (parked.size() < idle) {
+      std::printf("  (idle crowd clamped from %zu: out of fds)\n", idle);
+    }
+
+    for (const int fd : parked) ::close(fd);
+    tcp->stop();
   }
+  bench::print_rule(74);
   return rc;
 }
 
@@ -556,7 +544,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       chaos ? "Serving under chaos: deadlines, shedding, degradation"
       : connections
-          ? "Serving fan-in: idle connections vs tail latency per transport"
+          ? "Serving fan-in: idle connections vs tail latency"
       : metrics_overhead
           ? "Serving telemetry overhead: live registry vs no-op registry"
           : "Serving latency: dynamic micro-batching vs per-request dispatch");

@@ -36,9 +36,11 @@
 // Backpressure: the queue is bounded by `queue_capacity`.  When full,
 // Admission::Reject completes the future immediately with
 // RequestStatus::Rejected (the TCP layer maps this to an Overloaded reply);
-// Admission::Block parks the producer until space frees up — bounded memory
-// either way, with the overload cost landing on either the client (Reject)
-// or the producer thread (Block).
+// Admission::Block parks the producer until space frees up or its deadline
+// passes — bounded memory either way, with the overload cost landing on
+// either the client (Reject) or the producer thread (Block).  Block is for
+// in-process producers: the TCP front end submits through submit_async,
+// which never parks.
 //
 // Fault tolerance: an engine failure (thrown exception — including ones
 // injected via util/fault_injection.h) completes the affected requests with
@@ -50,7 +52,7 @@
 // Submissions after drain complete with RequestStatus::ShuttingDown.
 //
 // This core is transport-agnostic and fully testable in-process;
-// serve/tcp_server.h adds the wire front end.
+// serve/epoll_server.h adds the wire front end.
 #pragma once
 
 #include <atomic>

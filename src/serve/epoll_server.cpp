@@ -221,10 +221,10 @@ void EpollServer::reactor_main(Reactor& r) {
         continue;
       }
       if ((ev & (EPOLLIN | EPOLLHUP)) != 0 && !handle_readable(r, c, now)) continue;
-      if ((ev & EPOLLOUT) != 0 && !try_flush_writes(r, c)) continue;
+      if ((ev & EPOLLOUT) != 0 && !try_flush_writes(r, c, now)) continue;
     }
     process_intake(r, now);
-    process_completions(r);
+    process_completions(r, now);
     advance_timers(r, now);
   }
 }
@@ -398,14 +398,14 @@ bool EpollServer::handle_readable(Reactor& r, Conn& c, std::uint64_t now) {
     }
     c.rbuf.resize(old + static_cast<std::size_t>(got));
     c.last_activity_ms = now;
-    if (!parse_frames(r, c)) return false;
+    if (!parse_frames(r, c, now)) return false;
     if (static_cast<std::size_t>(got) < kReadChunk) break;  // socket drained
   }
   update_interest(r, c);
   return true;
 }
 
-bool EpollServer::parse_frames(Reactor& r, Conn& c) {
+bool EpollServer::parse_frames(Reactor& r, Conn& c, std::uint64_t now) {
   const std::size_t input_dim = server_.engine().model().input_dim();
   for (;;) {
     const std::size_t avail = c.rbuf.size() - c.rpos;
@@ -452,7 +452,7 @@ bool EpollServer::parse_frames(Reactor& r, Conn& c) {
     c.rbuf.erase(c.rbuf.begin(), c.rbuf.begin() + static_cast<std::ptrdiff_t>(c.rpos));
     c.rpos = 0;
   }
-  return flush_ready(r, c);
+  return flush_ready(r, c, now);
 }
 
 void EpollServer::submit_query(Reactor& r, Conn& c, std::uint64_t seq,
@@ -500,7 +500,7 @@ void EpollServer::push_completion(Reactor& r, Completion* node) {
   if (head == nullptr) r.wake.signal();
 }
 
-void EpollServer::process_completions(Reactor& r) {
+void EpollServer::process_completions(Reactor& r, std::uint64_t now) {
   Completion* node = r.completions.exchange(nullptr, std::memory_order_acquire);
   if (node == nullptr) return;
   // The Treiber stack pops LIFO; reverse to apply in push order (sequence
@@ -524,7 +524,7 @@ void EpollServer::process_completions(Reactor& r) {
         close_conn(r, c);
       } else {
         c.ready.emplace(ordered->seq, std::move(ordered->frame));
-        flush_ready(r, c);
+        flush_ready(r, c, now);
       }
     }
     delete ordered;
@@ -532,7 +532,7 @@ void EpollServer::process_completions(Reactor& r) {
   }
 }
 
-bool EpollServer::flush_ready(Reactor& r, Conn& c) {
+bool EpollServer::flush_ready(Reactor& r, Conn& c, std::uint64_t now) {
   while (!c.ready.empty() && c.ready.begin()->first == c.next_flush_seq) {
     OutFrame buf = std::move(c.ready.begin()->second);
     c.ready.erase(c.ready.begin());
@@ -548,10 +548,10 @@ bool EpollServer::flush_ready(Reactor& r, Conn& c) {
     close_conn(r, c);
     return false;
   }
-  return try_flush_writes(r, c);
+  return try_flush_writes(r, c, now);
 }
 
-bool EpollServer::try_flush_writes(Reactor& r, Conn& c) {
+bool EpollServer::try_flush_writes(Reactor& r, Conn& c, std::uint64_t now) {
   while (!c.wq.empty()) {
     const OutFrame& front = c.wq.front();
     const ssize_t put = ::send(c.fd, front.bytes.data() + c.wq_off,
@@ -564,6 +564,7 @@ bool EpollServer::try_flush_writes(Reactor& r, Conn& c) {
     }
     c.wq_off += static_cast<std::size_t>(put);
     c.wq_bytes -= static_cast<std::size_t>(put);
+    c.last_activity_ms = now;
     if (c.wq_off == front.bytes.size()) {
       // The frame's last byte is in the kernel: close the trace here (write
       // stage includes the reactor handoff and any reorder wait).
@@ -604,16 +605,19 @@ void EpollServer::advance_timers(Reactor& r, std::uint64_t now) {
     auto it = r.conns.find(id);
     if (it == r.conns.end()) continue;  // connection already gone: lazy cancel
     Conn& c = *it->second;
-    const std::uint64_t deadline =
-        c.last_activity_ms + static_cast<std::uint64_t>(config_.idle_timeout_ms);
-    if (now >= deadline) {
+    const auto idle_ms = static_cast<std::uint64_t>(config_.idle_timeout_ms);
+    if (c.in_flight > 0) {
+      // The connection still owes the peer a reply: not idle.  Look again
+      // one timeout from now; the reply's send moves the deadline anyway.
+      r.wheel.schedule(id, now + idle_ms);
+    } else if (now >= c.last_activity_ms + idle_ms) {
       idle_closed_.inc();
       log_info("serve: closing idle connection");
       close_conn(r, c);
     } else {
       // Activity moved the deadline since this entry was scheduled: migrate
       // the single wheel entry forward instead of rescheduling per frame.
-      r.wheel.schedule(id, deadline);
+      r.wheel.schedule(id, c.last_activity_ms + idle_ms);
     }
   }
 }

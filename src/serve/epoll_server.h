@@ -1,5 +1,5 @@
-// Event-driven epoll TCP front end over the BatchingServer: the high-fan-in
-// half of the ServerTransport seam (serve/transport.h).
+// Event-driven epoll TCP front end over the BatchingServer: the serving
+// stack's one front end (serve/transport.h).
 //
 // A small fixed pool of reactor threads (default min(4, hw_threads)) each
 // runs one epoll loop.  Connections are sharded at accept time: a
@@ -29,8 +29,11 @@
 //     in-flight count is high — per-connection backpressure that never
 //     blocks the reactor.
 //   * Idle connections are reaped via a per-reactor timer wheel with lazy
-//     revalidation: activity just bumps a timestamp; the wheel entry
-//     migrates forward on expiry instead of being rescheduled per frame.
+//     revalidation: activity (a byte received or sent) just bumps a
+//     timestamp; the wheel entry migrates forward on expiry instead of
+//     being rescheduled per frame.  A connection with a query in flight is
+//     never idle; one whose peer stops reading its replies sends nothing,
+//     and is reaped.
 //   * accept() hitting fd exhaustion parks the listener for a backoff
 //     interval (timer-wheel re-arm) instead of spinning.
 //
@@ -39,9 +42,6 @@
 // by drain_timeout_ms), reactors join, and the batching core drains — every
 // accepted query is answered; delivery to a stalled peer is best-effort
 // within the drain timeout.
-//
-// Wire behavior (framing, deadlines, degradation flags, fault injection) is
-// identical to the threaded transport; tests run the same suites over both.
 #pragma once
 
 #include <atomic>
@@ -125,7 +125,7 @@ class EpollServer final : public ServerTransport {
     std::size_t wq_off = 0;
 
     std::uint32_t armed = 0;  // epoll interest mask currently registered
-    std::uint64_t last_activity_ms = 0;
+    std::uint64_t last_activity_ms = 0;  // last byte received or sent
     bool draining = false;  // no more queries; close once fully flushed
   };
 
@@ -150,16 +150,16 @@ class EpollServer final : public ServerTransport {
   void begin_drain(Reactor& r, std::uint64_t now_ms);
   void accept_ready(Reactor& r, std::uint64_t now_ms);
   void process_intake(Reactor& r, std::uint64_t now_ms);
-  void process_completions(Reactor& r);
+  void process_completions(Reactor& r, std::uint64_t now_ms);
   void advance_timers(Reactor& r, std::uint64_t now_ms);
   Conn* add_conn(Reactor& r, int fd, std::uint64_t now_ms);
   void close_conn(Reactor& r, Conn& c);
   void update_interest(Reactor& r, Conn& c);
   // All return false when they closed the connection.
   bool handle_readable(Reactor& r, Conn& c, std::uint64_t now_ms);
-  bool parse_frames(Reactor& r, Conn& c);
-  bool flush_ready(Reactor& r, Conn& c);
-  bool try_flush_writes(Reactor& r, Conn& c);
+  bool parse_frames(Reactor& r, Conn& c, std::uint64_t now_ms);
+  bool flush_ready(Reactor& r, Conn& c, std::uint64_t now_ms);
+  bool try_flush_writes(Reactor& r, Conn& c, std::uint64_t now_ms);
   void submit_query(Reactor& r, Conn& c, std::uint64_t seq, const QueryRequest& req);
   static void push_completion(Reactor& r, Completion* node);
 

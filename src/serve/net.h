@@ -1,10 +1,10 @@
-// Shared socket plumbing for the serving transports: EINTR-safe full-buffer
-// I/O with poll-bounded timeouts, length-prefixed frame read/write for the
-// blocking (thread-per-connection) paths, listener setup, and the client's
-// timeout-bounded connect.  Both ServerTransport implementations and
-// TcpClient build on these; the epoll reactor uses the listener/socket
-// helpers but does its own non-blocking frame assembly (its partial-read
-// state lives in per-connection state machines, not on a call stack).
+// Shared socket plumbing: EINTR-safe full-buffer I/O with poll-bounded
+// timeouts, length-prefixed frame read/write for blocking callers, listener
+// setup, and a timeout-bounded connect.  TcpClient, the /metrics listener
+// (obs/metrics_http.cpp) and the repo benchmark's load generator use the
+// blocking helpers; the epoll front end uses the listener/socket helpers
+// but does its own non-blocking frame assembly (its partial-read state
+// lives in per-connection state machines, not on a call stack).
 #pragma once
 
 #include <cstdint>

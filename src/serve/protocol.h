@@ -6,10 +6,8 @@
 // the wire — this library targets x86 servers (the paper's whole premise),
 // so encode/decode are straight memcpys on every supported host.
 //
-// The framing is transport-independent: the thread-per-connection and epoll
-// front ends (serve/transport.h) produce byte-identical streams, and a
-// frame split across any number of partial reads or writes reassembles
-// identically.  Nothing in this header knows which transport carried it.
+// A frame split across any number of partial reads or writes reassembles
+// identically.  Nothing in this header knows which socket carried it.
 //
 // Request payload (v2):
 //   u8  version   (1 or 2)

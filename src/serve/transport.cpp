@@ -1,8 +1,8 @@
 #include "serve/transport.h"
 
 #include <cstdio>
+#include <stdexcept>
 
-#include "serve/tcp_server.h"
 #include "util/logging.h"
 #ifdef __linux__
 #include "serve/epoll_server.h"
@@ -95,47 +95,16 @@ std::string format_server_stats(const ServerStats& stats,
   return out;
 }
 
-const char* transport_name(TransportKind kind) {
-  switch (kind) {
-    case TransportKind::Threads: return "threads";
-    case TransportKind::Epoll: return "epoll";
-  }
-  return "?";
-}
-
-bool parse_transport(const std::string& name, TransportKind& out) {
-  if (name == "threads") {
-    out = TransportKind::Threads;
-    return true;
-  }
-  if (name == "epoll") {
-    out = TransportKind::Epoll;
-    return true;
-  }
-  return false;
-}
-
-TransportKind default_transport() {
-#ifdef __linux__
-  return TransportKind::Epoll;
-#else
-  return TransportKind::Threads;
-#endif
-}
-
-std::unique_ptr<ServerTransport> make_transport(TransportKind kind,
+std::unique_ptr<ServerTransport> make_transport(TransportKind /*kind*/,
                                                 BatchingServer& server,
                                                 TransportConfig config) {
 #ifdef __linux__
-  if (kind == TransportKind::Epoll) {
-    return std::make_unique<EpollServer>(server, std::move(config));
-  }
+  return std::make_unique<EpollServer>(server, std::move(config));
 #else
-  if (kind == TransportKind::Epoll) {
-    throw std::runtime_error("epoll transport requires Linux; use --transport threads");
-  }
+  (void)server;
+  (void)config;
+  throw std::runtime_error("the TCP front end needs Linux (epoll)");
 #endif
-  return std::make_unique<TcpServer>(server, std::move(config));
 }
 
 std::vector<std::uint8_t> encode_reply_payload(const Reply& reply) {

@@ -1,18 +1,15 @@
-// ServerTransport: the seam between the wire front ends and the batching
-// core.  Both implementations serve the same serve/protocol.h framing over
-// TCP and differ only in how connections map onto threads:
+// The serving stack's TCP front end, as the batching core and slide_cli see
+// it.  There is one front end, EpollServer (serve/epoll_server.h): a small
+// fixed pool of epoll reactors multiplexing every connection.  It serves
+// the serve/protocol.h framing; BatchingServer and protocol.h never know
+// which connection carried the bytes.
 //
-//   * TcpServer (serve/tcp_server.h) — thread per connection.  Simple,
-//     great tail latency at modest fan-in, but each idle connection pins a
-//     stack, so it tops out around hundreds of peers.
-//   * EpollServer (serve/epoll_server.h) — a small fixed pool of epoll
-//     reactors multiplexing every connection.  Holds tens of thousands of
-//     mostly-idle peers in a 4-thread budget.
-//
-// The framing, deadline plumbing, degradation flags, and fault-injection
-// behavior are transport-independent: BatchingServer and protocol.h never
-// know which front end carried the bytes.  slide_cli picks one with
-// `serve --transport {threads,epoll}`.
+// ServerTransport has that one implementation and TransportKind one value.
+// Both stay only because the repo benchmark names them
+// (perfbench/src/workloads.h, perfbench/src/workload_serve.cpp); a change
+// to the benchmark can construct EpollServer directly and drop them.
+// make_transport also keeps the library building where epoll does not
+// exist: there it throws, and training, freeze and predict still work.
 #pragma once
 
 #include <chrono>
@@ -27,18 +24,15 @@
 
 namespace slide::serve {
 
-// Superset of both transports' knobs; each transport reads what applies to
-// it and ignores the rest (TcpServer has no write queue, so the epoll-only
-// fields are inert there).
 struct TransportConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; read the bound port via port()
   int backlog = 256;
-  // Close a connection after this long with no complete frame activity
-  // (also bounds how long a peer may stall mid-frame).  0 = no timeout.
+  // Close a connection once it has had no query in flight and has neither
+  // received nor sent a byte for this long.  This also reaps a peer that
+  // stalls mid-frame or stops reading its replies.  0 = no timeout.
   int idle_timeout_ms = 0;
 
-  // --- epoll transport only ---
   // Reactor (event-loop) threads.  0 = min(4, hardware_concurrency).
   int reactors = 0;
   // A connection whose unsent reply backlog exceeds this many bytes is
@@ -64,7 +58,7 @@ struct TransportStats {
   // accept() hit EMFILE/ENFILE (fd exhaustion) and the accept path backed
   // off before retrying.  A nonzero value under load means raise ulimit -n.
   std::uint64_t accept_backoffs = 0;
-  // Connections dropped for exceeding max_write_backlog_bytes (epoll only).
+  // Connections dropped for exceeding max_write_backlog_bytes.
   std::uint64_t overflow_closed = 0;
 };
 
@@ -78,21 +72,16 @@ class ServerTransport {
   virtual TransportStats stats() const = 0;
 };
 
-enum class TransportKind { Threads, Epoll };
+enum class TransportKind { Epoll };
 
-const char* transport_name(TransportKind kind);
-// Accepts "threads" / "epoll"; false on anything else.
-bool parse_transport(const std::string& name, TransportKind& out);
-// Epoll where available (Linux); threads elsewhere.
-TransportKind default_transport();
-
-// Constructs the transport bound and listening (throws std::runtime_error
-// on bind failure); call start() to begin serving.
+// Constructs the front end bound and listening (throws std::runtime_error
+// on bind failure, and on systems without epoll); call start() to begin
+// serving.
 std::unique_ptr<ServerTransport> make_transport(TransportKind kind,
                                                 BatchingServer& server,
                                                 TransportConfig config);
 
-// --- shared wire-level helpers (used by both transports) ---
+// --- wire-level helpers ---
 
 // Maps a batching-core Reply onto its wire frame payload: Ok rows become
 // result frames, everything else the corresponding protocol error status.
@@ -103,11 +92,11 @@ std::vector<std::uint8_t> encode_reply_payload(const Reply& reply);
 // unchecked — a wild index from the wire would read out of the arena).
 bool valid_feature_indices(const QueryRequest& req, std::size_t input_dim);
 
-// Wire-level stage telemetry shared by both transports: extends the
-// server-side trace (queue, infer) with encode, write, and end-to-end
-// histograms, and emits the sampled per-request trace lines.  Registers its
-// series in the server's registry so one expose() covers the whole path.
-// Thread-safe; observe() is two histogram records plus an atomic tick.
+// Wire-level stage telemetry: extends the server-side trace (queue, infer)
+// with encode, write, and end-to-end histograms, and emits the sampled
+// per-request trace lines.  Registers its series in the server's registry
+// so one expose() covers the whole path.  Thread-safe; observe() is two
+// histogram records plus an atomic tick.
 class WireTelemetry {
  public:
   WireTelemetry(obs::MetricsRegistry& metrics, std::uint32_t trace_sample);

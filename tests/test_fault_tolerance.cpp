@@ -24,19 +24,13 @@
 #include "park_dispatcher.h"
 #include "serve/batching_server.h"
 #include "serve/protocol.h"
-#include "serve/tcp_server.h"
+#include "serve/tcp_client.h"
 #include "serve/transport.h"
 #include "util/crc32c.h"
 #include "util/fault_injection.h"
 
 namespace slide {
 namespace {
-
-// Every TCP-level test runs over both transports: the wire behavior
-// (deadlines, retry, chaos, malformed frames, idle reaping) must be
-// indistinguishable between the thread-per-connection and epoll paths.
-constexpr serve::TransportKind kTransports[] = {serve::TransportKind::Threads,
-                                                serve::TransportKind::Epoll};
 
 // Small trained model shared by every test in this TU (same pattern as
 // test_serving.cpp: train once, serve read-only).
@@ -332,28 +326,25 @@ serve::ServerConfig fast_config() {
 }
 
 TEST_F(FaultToleranceTest, DeadlineRidesTheWire) {
-  for (const serve::TransportKind kind : kTransports) {
-    SCOPED_TRACE(serve::transport_name(kind));
-    infer::InferenceEngine engine(model());
-    ThreadPool pool(4);
-    serve::ServerConfig cfg = parked_config();
-    cfg.pool = &pool;
-    serve::BatchingServer server(engine, cfg);
-    auto tcp = serve::make_transport(kind, server, {});
-    tcp->start();
+  infer::InferenceEngine engine(model());
+  ThreadPool pool(4);
+  serve::ServerConfig cfg = parked_config();
+  cfg.pool = &pool;
+  serve::BatchingServer server(engine, cfg);
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, {});
+  tcp->start();
 
-    serve::TcpClient client("127.0.0.1", tcp->port());
-    serve::QueryReply reply;
-    // 2ms budget against a dispatcher parked in a 200ms batch: the server
-    // must shed, and the client must see the typed status.
-    ParkedDispatcher park(kPark);
-    std::future<serve::Reply> parked = server.submit(queries().features(1));
-    ASSERT_TRUE(park.wait());
-    ASSERT_TRUE(client.query(queries().features(0), 5, reply, /*deadline_us=*/2000));
-    EXPECT_EQ(reply.status, serve::Status::DeadlineExceeded);
-    EXPECT_EQ(parked.get().status, serve::RequestStatus::Ok);
-    tcp->stop();
-  }
+  serve::TcpClient client("127.0.0.1", tcp->port());
+  serve::QueryReply reply;
+  // 2ms budget against a dispatcher parked in a 200ms batch: the server
+  // must shed, and the client must see the typed status.
+  ParkedDispatcher park(kPark);
+  std::future<serve::Reply> parked = server.submit(queries().features(1));
+  ASSERT_TRUE(park.wait());
+  ASSERT_TRUE(client.query(queries().features(0), 5, reply, /*deadline_us=*/2000));
+  EXPECT_EQ(reply.status, serve::Status::DeadlineExceeded);
+  EXPECT_EQ(parked.get().status, serve::RequestStatus::Ok);
+  tcp->stop();
 }
 
 TEST_F(FaultToleranceTest, V1FramesWithoutDeadlineStillServe) {
@@ -368,123 +359,111 @@ TEST_F(FaultToleranceTest, V1FramesWithoutDeadlineStillServe) {
   serve::wire::put_array(v1, q.indices, q.nnz);
   serve::wire::put_array(v1, q.values, q.nnz);
 
-  for (const serve::TransportKind kind : kTransports) {
-    SCOPED_TRACE(serve::transport_name(kind));
-    infer::InferenceEngine engine(model());
-    serve::BatchingServer server(engine, fast_config());
-    auto tcp = serve::make_transport(kind, server, {});
-    tcp->start();
+  infer::InferenceEngine engine(model());
+  serve::BatchingServer server(engine, fast_config());
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, {});
+  tcp->start();
 
-    serve::TcpClient client("127.0.0.1", tcp->port());
-    serve::QueryReply reply;
-    ASSERT_TRUE(client.round_trip_raw(v1, reply));
-    EXPECT_EQ(reply.status, serve::Status::Ok);
-    EXPECT_EQ(reply.ids.size(), 5u);
-    EXPECT_FALSE(reply.degraded);
-    tcp->stop();
-  }
+  serve::TcpClient client("127.0.0.1", tcp->port());
+  serve::QueryReply reply;
+  ASSERT_TRUE(client.round_trip_raw(v1, reply));
+  EXPECT_EQ(reply.status, serve::Status::Ok);
+  EXPECT_EQ(reply.ids.size(), 5u);
+  EXPECT_FALSE(reply.degraded);
+  tcp->stop();
 }
 
 TEST_F(FaultToleranceTest, ClientRetriesThroughDroppedConnection) {
-  for (const serve::TransportKind kind : kTransports) {
-    SCOPED_TRACE(serve::transport_name(kind));
-    infer::InferenceEngine engine(model());
-    serve::BatchingServer server(engine, fast_config());
-    auto tcp = serve::make_transport(kind, server, {});
-    tcp->start();
+  infer::InferenceEngine engine(model());
+  serve::BatchingServer server(engine, fast_config());
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, {});
+  tcp->start();
 
-    // The server will drop exactly one connection instead of replying; the
-    // client's retry loop must reconnect and succeed transparently.
-    util::FaultInjector::instance().set(util::FaultPoint::SocketDrop, 1.0, 0,
-                                        /*max_triggers=*/1);
-    serve::TcpClientConfig ccfg;
-    ccfg.io_timeout_ms = 2000;
-    ccfg.max_retries = 3;
-    ccfg.backoff_initial_ms = 1;
-    serve::TcpClient client("127.0.0.1", tcp->port(), ccfg);
-    serve::QueryReply reply;
-    ASSERT_TRUE(client.query_with_retry(queries().features(0), 5, reply));
-    EXPECT_EQ(reply.status, serve::Status::Ok);
-    EXPECT_EQ(client.reconnects(), 1u);
-    tcp->stop();
-    util::FaultInjector::instance().reset();
-  }
+  // The server will drop exactly one connection instead of replying; the
+  // client's retry loop must reconnect and succeed transparently.
+  util::FaultInjector::instance().set(util::FaultPoint::SocketDrop, 1.0, 0,
+                                      /*max_triggers=*/1);
+  serve::TcpClientConfig ccfg;
+  ccfg.io_timeout_ms = 2000;
+  ccfg.max_retries = 3;
+  ccfg.backoff_initial_ms = 1;
+  serve::TcpClient client("127.0.0.1", tcp->port(), ccfg);
+  serve::QueryReply reply;
+  ASSERT_TRUE(client.query_with_retry(queries().features(0), 5, reply));
+  EXPECT_EQ(reply.status, serve::Status::Ok);
+  EXPECT_EQ(client.reconnects(), 1u);
+  tcp->stop();
+  util::FaultInjector::instance().reset();
 }
 
 TEST_F(FaultToleranceTest, SocketStallIsAbsorbedByIoTimeout) {
-  for (const serve::TransportKind kind : kTransports) {
-    SCOPED_TRACE(serve::transport_name(kind));
-    infer::InferenceEngine engine(model());
-    serve::BatchingServer server(engine, fast_config());
-    auto tcp = serve::make_transport(kind, server, {});
-    tcp->start();
+  infer::InferenceEngine engine(model());
+  serve::BatchingServer server(engine, fast_config());
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, {});
+  tcp->start();
 
-    // Stall every reply by 5ms; a client with a 2s timeout just waits it out.
-    util::FaultInjector::instance().set(util::FaultPoint::SocketStall, 1.0,
-                                        /*param_us=*/5000, /*max_triggers=*/4);
-    serve::TcpClientConfig ccfg;
-    ccfg.io_timeout_ms = 2000;
-    serve::TcpClient client("127.0.0.1", tcp->port(), ccfg);
-    serve::QueryReply reply;
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(client.query(queries().features(i), 5, reply)) << i;
-      EXPECT_EQ(reply.status, serve::Status::Ok);
-    }
-    tcp->stop();
-    util::FaultInjector::instance().reset();
+  // Stall every reply by 5ms; a client with a 2s timeout just waits it out.
+  util::FaultInjector::instance().set(util::FaultPoint::SocketStall, 1.0,
+                                      /*param_us=*/5000, /*max_triggers=*/4);
+  serve::TcpClientConfig ccfg;
+  ccfg.io_timeout_ms = 2000;
+  serve::TcpClient client("127.0.0.1", tcp->port(), ccfg);
+  serve::QueryReply reply;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(client.query(queries().features(i), 5, reply)) << i;
+    EXPECT_EQ(reply.status, serve::Status::Ok);
   }
+  tcp->stop();
+  util::FaultInjector::instance().reset();
 }
 
 TEST_F(FaultToleranceTest, ChaosMixNeverHangsOrCrashes) {
-  for (const serve::TransportKind kind : kTransports) {
-    SCOPED_TRACE(serve::transport_name(kind));
-    infer::InferenceEngine engine(model());
-    serve::ServerConfig cfg = fast_config();
-    cfg.queue_capacity = 32;
-    serve::BatchingServer server(engine, cfg);
-    auto tcp = serve::make_transport(kind, server, {});
-    tcp->start();
+  infer::InferenceEngine engine(model());
+  serve::ServerConfig cfg = fast_config();
+  cfg.queue_capacity = 32;
+  serve::BatchingServer server(engine, cfg);
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, {});
+  tcp->start();
 
-    auto& fi = util::FaultInjector::instance();
-    std::string error;
-    ASSERT_TRUE(fi.configure(
-        "engine-fail=0.05,engine-delay=0.05:500,sock-drop=0.02,admission-fail=0.05",
-        &error))
-        << error;
+  auto& fi = util::FaultInjector::instance();
+  std::string error;
+  ASSERT_TRUE(fi.configure(
+      "engine-fail=0.05,engine-delay=0.05:500,sock-drop=0.02,admission-fail=0.05",
+      &error))
+      << error;
 
-    constexpr unsigned kClients = 4;
-    constexpr int kPerClient = 50;
-    std::vector<int> answered(kClients, 0);
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kClients; ++t) {
-      threads.emplace_back([&, t] {
-        serve::TcpClientConfig ccfg;
-        ccfg.io_timeout_ms = 5000;
-        ccfg.max_retries = 5;
-        ccfg.backoff_initial_ms = 1;
-        ccfg.backoff_max_ms = 20;
-        serve::TcpClient client("127.0.0.1", tcp->port(), ccfg);
-        int got = 0;
-        serve::QueryReply reply;
-        for (int i = 0; i < kPerClient; ++i) {
-          const auto& q = queries().features((t * kPerClient + i) % queries().size());
-          // With retries, every request must end in a decoded reply (any
-          // status) — never a hang, never an unexplained dead socket.
-          if (client.query_with_retry(q, 5, reply, /*deadline_us=*/1000000)) ++got;
-        }
-        answered[t] = got;
-      });
-    }
-    for (auto& t : threads) t.join();
-    fi.reset();
-    tcp->stop();
-    for (unsigned t = 0; t < kClients; ++t) {
-      EXPECT_EQ(answered[t], kPerClient) << "client " << t;
-    }
-    // The server survived: whatever was admitted was answered.
-    const serve::ServerStats st = server.stats();
-    EXPECT_EQ(st.accepted, st.completed + st.expired + st.shed + st.errors);
+  constexpr unsigned kClients = 4;
+  constexpr int kPerClient = 50;
+  std::vector<int> answered(kClients, 0);
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kClients; ++t) {
+    threads.emplace_back([&, t] {
+      serve::TcpClientConfig ccfg;
+      ccfg.io_timeout_ms = 5000;
+      ccfg.max_retries = 5;
+      ccfg.backoff_initial_ms = 1;
+      ccfg.backoff_max_ms = 20;
+      serve::TcpClient client("127.0.0.1", tcp->port(), ccfg);
+      int got = 0;
+      serve::QueryReply reply;
+      for (int i = 0; i < kPerClient; ++i) {
+        const auto& q = queries().features((t * kPerClient + i) % queries().size());
+        // With retries, every request must end in a decoded reply (any
+        // status) — never a hang, never an unexplained dead socket.
+        if (client.query_with_retry(q, 5, reply, /*deadline_us=*/1000000)) ++got;
+      }
+      answered[t] = got;
+    });
   }
+  for (auto& t : threads) t.join();
+  fi.reset();
+  tcp->stop();
+  for (unsigned t = 0; t < kClients; ++t) {
+    EXPECT_EQ(answered[t], kPerClient) << "client " << t;
+  }
+  // The server survived: whatever was admitted was answered.
+  const serve::ServerStats st = server.stats();
+  EXPECT_EQ(st.accepted, st.completed + st.expired + st.shed + st.errors);
 }
 
 // --- malformed / truncated frames and idle connections ---------------------
@@ -539,84 +518,103 @@ class RawConn {
 };
 
 TEST_F(FaultToleranceTest, MalformedFramesNeverCrashTheServer) {
-  for (const serve::TransportKind kind : kTransports) {
-    SCOPED_TRACE(serve::transport_name(kind));
-    infer::InferenceEngine engine(model());
-    serve::BatchingServer server(engine, fast_config());
-    auto tcp = serve::make_transport(kind, server, {});
-    tcp->start();
+  infer::InferenceEngine engine(model());
+  serve::BatchingServer server(engine, fast_config());
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, {});
+  tcp->start();
 
-    {  // Oversized length prefix: the server closes the connection.
-      RawConn c(tcp->port());
-      const std::uint32_t huge = serve::kMaxPayloadBytes + 1;
-      ASSERT_TRUE(c.send_all(&huge, sizeof(huge)));
-      std::uint8_t buf[8];
-      EXPECT_EQ(c.read_some(buf, sizeof(buf)), 0u);  // clean close, no reply
-    }
-    {  // Truncated length header then disconnect: clean close server-side.
-      RawConn c(tcp->port());
-      const std::uint8_t half[2] = {1, 0};
-      ASSERT_TRUE(c.send_all(half, sizeof(half)));
-    }
-    {  // Mid-frame disconnect: 100-byte frame announced, 10 bytes sent.
-      RawConn c(tcp->port());
-      const std::uint32_t len = 100;
-      std::uint8_t partial[10] = {};
-      ASSERT_TRUE(c.send_all(&len, sizeof(len)));
-      ASSERT_TRUE(c.send_all(partial, sizeof(partial)));
-    }
-    {  // Zero-length body: a BadRequest reply, connection stays usable.
-      serve::TcpClient client("127.0.0.1", tcp->port());
-      serve::QueryReply reply;
-      ASSERT_TRUE(client.round_trip_raw({}, reply));
-      EXPECT_EQ(reply.status, serve::Status::BadRequest);
-      ASSERT_TRUE(client.query(queries().features(0), 5, reply));
-      EXPECT_EQ(reply.status, serve::Status::Ok);
-    }
-    {  // Garbage version byte: BadRequest, connection stays usable.
-      serve::TcpClient client("127.0.0.1", tcp->port());
-      const auto q = queries().features(0);
-      std::vector<std::uint8_t> frame =
-          serve::encode_query({q.indices, q.nnz}, {q.values, q.nnz}, 5);
-      frame[0] = 0xFF;
-      serve::QueryReply reply;
-      ASSERT_TRUE(client.round_trip_raw(frame, reply));
-      EXPECT_EQ(reply.status, serve::Status::BadRequest);
-    }
-
-    // After all of the abuse the server still serves a clean client.
+  {  // Oversized length prefix: the server closes the connection.
+    RawConn c(tcp->port());
+    const std::uint32_t huge = serve::kMaxPayloadBytes + 1;
+    ASSERT_TRUE(c.send_all(&huge, sizeof(huge)));
+    std::uint8_t buf[8];
+    EXPECT_EQ(c.read_some(buf, sizeof(buf)), 0u);  // clean close, no reply
+  }
+  {  // Truncated length header then disconnect: clean close server-side.
+    RawConn c(tcp->port());
+    const std::uint8_t half[2] = {1, 0};
+    ASSERT_TRUE(c.send_all(half, sizeof(half)));
+  }
+  {  // Mid-frame disconnect: 100-byte frame announced, 10 bytes sent.
+    RawConn c(tcp->port());
+    const std::uint32_t len = 100;
+    std::uint8_t partial[10] = {};
+    ASSERT_TRUE(c.send_all(&len, sizeof(len)));
+    ASSERT_TRUE(c.send_all(partial, sizeof(partial)));
+  }
+  {  // Zero-length body: a BadRequest reply, connection stays usable.
     serve::TcpClient client("127.0.0.1", tcp->port());
     serve::QueryReply reply;
-    ASSERT_TRUE(client.query(queries().features(1), 5, reply));
+    ASSERT_TRUE(client.round_trip_raw({}, reply));
+    EXPECT_EQ(reply.status, serve::Status::BadRequest);
+    ASSERT_TRUE(client.query(queries().features(0), 5, reply));
     EXPECT_EQ(reply.status, serve::Status::Ok);
-    tcp->stop();
   }
+  {  // Garbage version byte: BadRequest, connection stays usable.
+    serve::TcpClient client("127.0.0.1", tcp->port());
+    const auto q = queries().features(0);
+    std::vector<std::uint8_t> frame =
+        serve::encode_query({q.indices, q.nnz}, {q.values, q.nnz}, 5);
+    frame[0] = 0xFF;
+    serve::QueryReply reply;
+    ASSERT_TRUE(client.round_trip_raw(frame, reply));
+    EXPECT_EQ(reply.status, serve::Status::BadRequest);
+  }
+
+  // After all of the abuse the server still serves a clean client.
+  serve::TcpClient client("127.0.0.1", tcp->port());
+  serve::QueryReply reply;
+  ASSERT_TRUE(client.query(queries().features(1), 5, reply));
+  EXPECT_EQ(reply.status, serve::Status::Ok);
+  tcp->stop();
 }
 
 TEST_F(FaultToleranceTest, IdleConnectionsAreReaped) {
-  for (const serve::TransportKind kind : kTransports) {
-    SCOPED_TRACE(serve::transport_name(kind));
-    infer::InferenceEngine engine(model());
-    serve::BatchingServer server(engine, fast_config());
-    serve::TransportConfig tcfg;
-    tcfg.idle_timeout_ms = 50;
-    auto tcp = serve::make_transport(kind, server, tcfg);
-    tcp->start();
+  infer::InferenceEngine engine(model());
+  serve::BatchingServer server(engine, fast_config());
+  serve::TransportConfig tcfg;
+  tcfg.idle_timeout_ms = 50;
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, tcfg);
+  tcp->start();
 
-    serve::TcpClient client("127.0.0.1", tcp->port());
-    serve::QueryReply reply;
-    ASSERT_TRUE(client.query(queries().features(0), 5, reply));
+  serve::TcpClient client("127.0.0.1", tcp->port());
+  serve::QueryReply reply;
+  ASSERT_TRUE(client.query(queries().features(0), 5, reply));
 
-    // Go idle past the timeout: the server closes its end; the next round
-    // trip fails at the transport level and reconnect() restores service.
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    EXPECT_FALSE(client.query(queries().features(0), 5, reply));
-    EXPECT_GE(tcp->stats().idle_closed, 1u);
-    ASSERT_TRUE(client.reconnect());
-    ASSERT_TRUE(client.query(queries().features(0), 5, reply));
-    EXPECT_EQ(reply.status, serve::Status::Ok);
-    tcp->stop();
-  }
+  // Go idle past the timeout: the server closes its end; the next round
+  // trip fails at the transport level and reconnect() restores service.
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  EXPECT_FALSE(client.query(queries().features(0), 5, reply));
+  EXPECT_GE(tcp->stats().idle_closed, 1u);
+  ASSERT_TRUE(client.reconnect());
+  ASSERT_TRUE(client.query(queries().features(0), 5, reply));
+  EXPECT_EQ(reply.status, serve::Status::Ok);
+  tcp->stop();
+}
+
+TEST_F(FaultToleranceTest, IdleTimeoutSparesInFlightQueries) {
+  infer::InferenceEngine engine(model());
+  serve::BatchingServer server(engine, fast_config());
+  serve::TransportConfig tcfg;
+  tcfg.idle_timeout_ms = 100;
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, tcfg);
+  tcp->start();
+
+  // The client's own query parks the dispatcher for three idle timeouts.
+  // The connection owes it a reply the whole time, so it is not idle.
+  ParkedDispatcher park(std::chrono::milliseconds(300));
+  serve::TcpClient client("127.0.0.1", tcp->port());
+  serve::QueryReply reply;
+  ASSERT_TRUE(client.query(queries().features(0), 5, reply));
+  EXPECT_EQ(reply.status, serve::Status::Ok);
+  EXPECT_EQ(tcp->stats().idle_closed, 0u);
+
+  // With nothing in flight, 300 ms of silence is idleness: the server
+  // closes its end and the next round trip fails.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(client.query(queries().features(0), 5, reply));
+  EXPECT_EQ(tcp->stats().idle_closed, 1u);
+  tcp->stop();
 }
 
 }  // namespace

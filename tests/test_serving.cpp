@@ -1,8 +1,6 @@
 // In-process coverage for the src/serve/ subsystem: batching parity with
 // direct engine calls, bounded-queue admission semantics, drain, concurrent
-// clients, and the TCP loopback round trip — the wire tests run under BOTH
-// transports (thread-per-connection and epoll) through the ServerTransport
-// seam.
+// clients, and the TCP loopback round trip through the epoll front end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +21,7 @@
 #include "park_dispatcher.h"
 #include "serve/batching_server.h"
 #include "serve/protocol.h"
-#include "serve/tcp_server.h"
+#include "serve/tcp_client.h"
 #include "serve/transport.h"
 
 namespace slide {
@@ -84,11 +82,6 @@ serve::ServerConfig batching_config() {
   cfg.k = 5;
   return cfg;
 }
-
-// The wire-level tests run identically over both ServerTransport
-// implementations; a failure names the transport via SCOPED_TRACE.
-constexpr serve::TransportKind kTransports[] = {serve::TransportKind::Threads,
-                                                serve::TransportKind::Epoll};
 
 TEST_F(ServingTest, BatchedResultsIdenticalToDirectEngineCalls) {
   infer::InferenceEngine engine(model());
@@ -187,6 +180,51 @@ TEST_F(ServingTest, BlockAdmissionCompletesEverythingWithBoundedQueue) {
   EXPECT_EQ(ok.load(), kProducers * kPerProducer);
   EXPECT_EQ(server.stats().completed, kProducers * kPerProducer);
   EXPECT_EQ(server.stats().rejected, 0u);
+}
+
+TEST_F(ServingTest, BlockAdmissionExpiresParkedProducersAndNeverParksAsync) {
+  infer::InferenceEngine engine(model());
+  serve::ServerConfig cfg = batching_config();
+  cfg.queue_capacity = 2;
+  cfg.admission = serve::Admission::Block;
+  serve::BatchingServer server(engine, cfg);
+
+  // One request parks the dispatcher inside its batch; two more fill the
+  // queue behind it.
+  constexpr auto kHold = std::chrono::milliseconds(500);
+  ParkedDispatcher park(kHold);
+  std::vector<std::future<serve::Reply>> accepted;
+  accepted.push_back(server.submit(queries().features(0)));
+  ASSERT_TRUE(park.wait());
+  accepted.push_back(server.submit(queries().features(1)));
+  accepted.push_back(server.submit(queries().features(2)));
+
+  // (a) A producer parked on the full queue gives up when its deadline
+  // passes, not when the hold ends and space frees up.
+  const auto t0 = std::chrono::steady_clock::now();
+  const serve::Reply late =
+      server.submit(queries().features(3), 0, /*deadline_us=*/20000).get();
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(late.status, serve::RequestStatus::DeadlineExceeded);
+  EXPECT_GE(waited, std::chrono::milliseconds(20));
+  EXPECT_LT(waited, kHold / 2);
+  EXPECT_EQ(server.stats().expired, 1u);
+
+  // (b) submit_async never parks: on the full queue it calls back with
+  // Rejected before it returns.
+  bool called = false;
+  serve::RequestStatus async_status = serve::RequestStatus::Ok;
+  server.submit_async(queries().features(4), 0, 0, [&](serve::Reply&& r) {
+    called = true;
+    async_status = r.status;
+  });
+  EXPECT_TRUE(called);
+  EXPECT_EQ(async_status, serve::RequestStatus::Rejected);
+  EXPECT_EQ(server.stats().rejected, 1u);
+
+  // (c) The three accepted requests are answered once the hold ends.
+  for (auto& f : accepted) EXPECT_EQ(f.get().status, serve::RequestStatus::Ok);
+  EXPECT_EQ(server.stats().completed, 3u);
 }
 
 TEST_F(ServingTest, DrainCompletesAllAcceptedThenRefuses) {
@@ -380,108 +418,99 @@ TEST_F(ServingTest, SubmitAsyncMatchesFutureReplies) {
 }
 
 TEST_F(ServingTest, TcpLoopbackRoundTrip) {
-  for (const serve::TransportKind kind : kTransports) {
-    SCOPED_TRACE(serve::transport_name(kind));
-    infer::InferenceEngine engine(model());
-    serve::BatchingServer server(engine, batching_config());
-    serve::TransportConfig tcfg;  // port 0: ephemeral
-    auto tcp = serve::make_transport(kind, server, tcfg);
-    ASSERT_NE(tcp->port(), 0);
-    tcp->start();
+  infer::InferenceEngine engine(model());
+  serve::BatchingServer server(engine, batching_config());
+  serve::TransportConfig tcfg;  // port 0: ephemeral
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, tcfg);
+  ASSERT_NE(tcp->port(), 0);
+  tcp->start();
 
-    std::vector<std::uint32_t> want;
-    std::vector<float> want_scores;
-    {
-      serve::TcpClient client("127.0.0.1", tcp->port());
-      serve::QueryReply reply;
-      for (std::size_t i = 0; i < 32; ++i) {
-        engine.predict_topk(queries().features(i), 5, want, infer::TopKMode::Dense,
-                            &want_scores);
-        ASSERT_TRUE(client.query(queries().features(i), 5, reply)) << "query " << i;
-        ASSERT_EQ(reply.status, serve::Status::Ok);
-        EXPECT_EQ(reply.ids, want) << "query " << i;
-        EXPECT_EQ(reply.scores, want_scores) << "query " << i;
-      }
-
-      // Malformed frames get error replies and the connection stays usable.
-      std::vector<std::uint8_t> bogus =
-          serve::encode_query({queries().features(0).indices, queries().features(0).nnz},
-                              {queries().features(0).values, queries().features(0).nnz},
-                              5);
-      bogus[0] = 99;  // wrong protocol version
-      ASSERT_TRUE(client.round_trip_raw(bogus, reply));
-      EXPECT_EQ(reply.status, serve::Status::BadRequest);
-      ASSERT_TRUE(client.query(queries().features(0), 5, reply));
-      EXPECT_EQ(reply.status, serve::Status::Ok);
-
-      // Out-of-range / unsorted indices never reach the kernels.
-      const std::uint32_t wild_idx[] = {5, 4};  // unsorted
-      const float wild_val[] = {1.0f, 1.0f};
-      ASSERT_TRUE(
-          client.round_trip_raw(serve::encode_query(wild_idx, wild_val, 5), reply));
-      EXPECT_EQ(reply.status, serve::Status::BadRequest);
-      const std::uint32_t oob_idx[] = {1000000};  // >= input_dim
-      const float oob_val[] = {1.0f};
-      ASSERT_TRUE(
-          client.round_trip_raw(serve::encode_query(oob_idx, oob_val, 5), reply));
-      EXPECT_EQ(reply.status, serve::Status::BadRequest);
-
-      // A truncated feature array is also a BadRequest, not a hang.
-      std::vector<std::uint8_t> truncated =
-          serve::encode_query({queries().features(0).indices, queries().features(0).nnz},
-                              {queries().features(0).values, queries().features(0).nnz},
-                              5);
-      truncated.resize(truncated.size() - 4);
-      ASSERT_TRUE(client.round_trip_raw(truncated, reply));
-      EXPECT_EQ(reply.status, serve::Status::BadRequest);
+  std::vector<std::uint32_t> want;
+  std::vector<float> want_scores;
+  {
+    serve::TcpClient client("127.0.0.1", tcp->port());
+    serve::QueryReply reply;
+    for (std::size_t i = 0; i < 32; ++i) {
+      engine.predict_topk(queries().features(i), 5, want, infer::TopKMode::Dense,
+                          &want_scores);
+      ASSERT_TRUE(client.query(queries().features(i), 5, reply)) << "query " << i;
+      ASSERT_EQ(reply.status, serve::Status::Ok);
+      EXPECT_EQ(reply.ids, want) << "query " << i;
+      EXPECT_EQ(reply.scores, want_scores) << "query " << i;
     }
 
-    tcp->stop();  // graceful: drains the batching core
-    EXPECT_TRUE(server.draining());
-    EXPECT_GE(tcp->stats().connections_accepted, 1u);
+    // Malformed frames get error replies and the connection stays usable.
+    std::vector<std::uint8_t> bogus =
+        serve::encode_query({queries().features(0).indices, queries().features(0).nnz},
+                            {queries().features(0).values, queries().features(0).nnz},
+                            5);
+    bogus[0] = 99;  // wrong protocol version
+    ASSERT_TRUE(client.round_trip_raw(bogus, reply));
+    EXPECT_EQ(reply.status, serve::Status::BadRequest);
+    ASSERT_TRUE(client.query(queries().features(0), 5, reply));
+    EXPECT_EQ(reply.status, serve::Status::Ok);
+
+    // Out-of-range / unsorted indices never reach the kernels.
+    const std::uint32_t wild_idx[] = {5, 4};  // unsorted
+    const float wild_val[] = {1.0f, 1.0f};
+    ASSERT_TRUE(
+        client.round_trip_raw(serve::encode_query(wild_idx, wild_val, 5), reply));
+    EXPECT_EQ(reply.status, serve::Status::BadRequest);
+    const std::uint32_t oob_idx[] = {1000000};  // >= input_dim
+    const float oob_val[] = {1.0f};
+    ASSERT_TRUE(
+        client.round_trip_raw(serve::encode_query(oob_idx, oob_val, 5), reply));
+    EXPECT_EQ(reply.status, serve::Status::BadRequest);
+
+    // A truncated feature array is also a BadRequest, not a hang.
+    std::vector<std::uint8_t> truncated =
+        serve::encode_query({queries().features(0).indices, queries().features(0).nnz},
+                            {queries().features(0).values, queries().features(0).nnz},
+                            5);
+    truncated.resize(truncated.size() - 4);
+    ASSERT_TRUE(client.round_trip_raw(truncated, reply));
+    EXPECT_EQ(reply.status, serve::Status::BadRequest);
   }
+
+  tcp->stop();  // graceful: drains the batching core
+  EXPECT_TRUE(server.draining());
+  EXPECT_GE(tcp->stats().connections_accepted, 1u);
 }
 
 TEST_F(ServingTest, TcpConcurrentConnections) {
-  for (const serve::TransportKind kind : kTransports) {
-    SCOPED_TRACE(serve::transport_name(kind));
-    infer::InferenceEngine engine(model());
-    serve::ServerConfig cfg = batching_config();
-    // submit_async never blocks, so Block admission only applies to the
-    // threaded transport; the shared queue capacity absorbs both.
-    cfg.admission = serve::Admission::Block;
-    serve::BatchingServer server(engine, cfg);
-    auto tcp = serve::make_transport(kind, server, {});
-    tcp->start();
+  infer::InferenceEngine engine(model());
+  serve::BatchingServer server(engine, batching_config());
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, {});
+  tcp->start();
 
-    std::vector<std::vector<std::uint32_t>> want(queries().size());
-    for (std::size_t i = 0; i < queries().size(); ++i) {
-      engine.predict_topk(queries().features(i), 5, want[i]);
-    }
-
-    constexpr unsigned kClients = 8;
-    std::vector<int> all_match(kClients, 0);
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kClients; ++t) {
-      threads.emplace_back([&, t] {
-        serve::TcpClient client("127.0.0.1", tcp->port());
-        serve::QueryReply reply;
-        bool all = true;
-        for (std::size_t step = 0; step < queries().size(); ++step) {
-          const std::size_t i = (step * (t + 1) + t) % queries().size();
-          all = all && client.query(queries().features(i), 5, reply) &&
-                reply.status == serve::Status::Ok && reply.ids == want[i];
-        }
-        all_match[t] = all;
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (unsigned t = 0; t < kClients; ++t) {
-      EXPECT_TRUE(all_match[t]) << "client " << t;
-    }
-    tcp->stop();
-    EXPECT_EQ(server.stats().completed, kClients * queries().size());
+  std::vector<std::vector<std::uint32_t>> want(queries().size());
+  for (std::size_t i = 0; i < queries().size(); ++i) {
+    engine.predict_topk(queries().features(i), 5, want[i]);
   }
+
+  constexpr unsigned kClients = 8;
+  std::vector<int> all_match(kClients, 0);
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kClients; ++t) {
+    threads.emplace_back([&, t] {
+      serve::TcpClient client("127.0.0.1", tcp->port());
+      serve::QueryReply reply;
+      bool all = true;
+      for (std::size_t step = 0; step < queries().size(); ++step) {
+        const std::size_t i = (step * (t + 1) + t) % queries().size();
+        all = all && client.query(queries().features(i), 5, reply) &&
+              reply.status == serve::Status::Ok && reply.ids == want[i];
+      }
+      all_match[t] = all;
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (unsigned t = 0; t < kClients; ++t) {
+    EXPECT_TRUE(all_match[t]) << "client " << t;
+  }
+  tcp->stop();
+  EXPECT_EQ(server.stats().completed, kClients * queries().size());
+  EXPECT_EQ(server.stats().rejected, 0u);
 }
 
 TEST(ServeProtocol, QueryEncodeDecodeRoundTrip) {

@@ -16,7 +16,7 @@
 #include "infer/packed_model.h"
 #include "obs/metrics.h"
 #include "serve/batching_server.h"
-#include "serve/tcp_server.h"
+#include "serve/tcp_client.h"
 #include "serve/transport.h"
 
 namespace slide {
@@ -103,48 +103,44 @@ TEST_F(TraceTest, QueuePlusInferCoversInProcessTotal) {
 }
 
 TEST_F(TraceTest, FourStagesPartitionEndToEndOverTheWire) {
-  for (const serve::TransportKind kind :
-       {serve::TransportKind::Threads, serve::TransportKind::Epoll}) {
-    SCOPED_TRACE(serve::transport_name(kind));
-    infer::InferenceEngine engine(*model_);
-    obs::MetricsRegistry reg;
-    serve::ServerConfig scfg;
-    scfg.policy.max_batch_size = 16;
-    scfg.queue_capacity = 256;
-    scfg.k = 5;
-    scfg.metrics = &reg;
-    serve::BatchingServer server(engine, scfg);
-    auto transport = serve::make_transport(kind, server, {});
-    transport->start();
+  infer::InferenceEngine engine(*model_);
+  obs::MetricsRegistry reg;
+  serve::ServerConfig scfg;
+  scfg.policy.max_batch_size = 16;
+  scfg.queue_capacity = 256;
+  scfg.k = 5;
+  scfg.metrics = &reg;
+  serve::BatchingServer server(engine, scfg);
+  auto transport = serve::make_transport(serve::TransportKind::Epoll, server, {});
+  transport->start();
 
-    const std::size_t n = queries_->size();
-    {
-      serve::TcpClient client("127.0.0.1", transport->port());
-      serve::QueryReply reply;
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(client.query(queries_->features(i), 5, reply)) << i;
-        ASSERT_EQ(reply.status, serve::Status::Ok) << i;
-      }
+  const std::size_t n = queries_->size();
+  {
+    serve::TcpClient client("127.0.0.1", transport->port());
+    serve::QueryReply reply;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(client.query(queries_->features(i), 5, reply)) << i;
+      ASSERT_EQ(reply.status, serve::Status::Ok) << i;
     }
-    transport->stop();  // joins the writers: every observe() has landed
+  }
+  transport->stop();  // joins the reactors: every observe() has landed
 
-    const auto e2e = reg.histogram("slide_request_e2e_us", "").snapshot();
-    ASSERT_EQ(e2e.count, n);
-    const std::uint64_t stages = stage_sum(reg, "queue") + stage_sum(reg, "infer") +
-                                 stage_sum(reg, "encode") + stage_sum(reg, "write");
-    // Four floored stages vs one floored end-to-end: within ~5us per request.
-    const std::uint64_t slack = 6 * n;
-    EXPECT_LE(stages, e2e.sum + slack);
-    EXPECT_GE(stages + slack, e2e.sum);
+  const auto e2e = reg.histogram("slide_request_e2e_us", "").snapshot();
+  ASSERT_EQ(e2e.count, n);
+  const std::uint64_t stages = stage_sum(reg, "queue") + stage_sum(reg, "infer") +
+                               stage_sum(reg, "encode") + stage_sum(reg, "write");
+  // Four floored stages vs one floored end-to-end: within ~5us per request.
+  const std::uint64_t slack = 6 * n;
+  EXPECT_LE(stages, e2e.sum + slack);
+  EXPECT_GE(stages + slack, e2e.sum);
 
-    // Every stage saw every Ok request.
-    for (const char* stage : {"queue", "infer", "encode", "write"}) {
-      EXPECT_EQ(reg.histogram("slide_request_stage_us", "", {{"stage", stage}})
-                    .snapshot()
-                    .count,
-                n)
-          << stage;
-    }
+  // Every stage saw every Ok request.
+  for (const char* stage : {"queue", "infer", "encode", "write"}) {
+    EXPECT_EQ(reg.histogram("slide_request_stage_us", "", {{"stage", stage}})
+                  .snapshot()
+                  .count,
+              n)
+        << stage;
   }
 }
 

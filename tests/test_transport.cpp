@@ -1,10 +1,10 @@
-// Transport-level coverage for the ServerTransport seam (serve/transport.h):
-// the partial-read/partial-write machinery both front ends need on real
-// sockets.  Multi-MB replies squeezed through tiny socket buffers, request
-// frames dribbled in a few bytes at a time, pipelined ordering, thousands of
-// idle connections on the epoll reactors, write-backlog overflow disconnect,
-// fd-exhaustion accept backoff, and graceful drain flushing in-flight
-// replies.
+// Transport-level coverage for the epoll TCP front end
+// (serve/epoll_server.h): the partial-read/partial-write machinery it needs
+// on real sockets.  Multi-MB replies squeezed through tiny socket buffers,
+// request frames dribbled in a few bytes at a time, pipelined ordering,
+// hundreds of idle connections on the reactors, write-backlog overflow
+// disconnect, fd-exhaustion accept backoff, graceful drain flushing
+// in-flight replies, and closed connections releasing their resources.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -15,6 +15,9 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,14 +27,11 @@
 #include "park_dispatcher.h"
 #include "serve/batching_server.h"
 #include "serve/protocol.h"
-#include "serve/tcp_server.h"
+#include "serve/tcp_client.h"
 #include "serve/transport.h"
 
 namespace slide {
 namespace {
-
-constexpr serve::TransportKind kTransports[] = {serve::TransportKind::Threads,
-                                                serve::TransportKind::Epoll};
 
 // --- raw socket helpers ------------------------------------------------------
 
@@ -182,75 +182,69 @@ class SmallTransportTest : public ::testing::Test {
 
 infer::PackedModel* SmallTransportTest::model_ = nullptr;
 
-// --- multi-MB replies through tiny socket buffers (both transports) ---------
+// --- multi-MB replies through tiny socket buffers ----------------------------
 
-TEST_F(BigReplyTransportTest, LargeReplySurvivesShortWritesOnBothTransports) {
-  for (const serve::TransportKind kind : kTransports) {
-    SCOPED_TRACE(serve::transport_name(kind));
-    infer::InferenceEngine engine(model());
-    serve::BatchingServer server(engine, big_config());
-    auto tcp = serve::make_transport(kind, server, {});
-    tcp->start();
+TEST_F(BigReplyTransportTest, LargeReplySurvivesShortWrites) {
+  infer::InferenceEngine engine(model());
+  serve::BatchingServer server(engine, big_config());
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, {});
+  tcp->start();
 
-    // A 4KB receive window against a 2MB reply: the server's send path hits
-    // EAGAIN / short writes hundreds of times and must resume cleanly.
-    const int fd = raw_connect(tcp->port(), /*rcvbuf_bytes=*/4096);
-    ASSERT_GE(fd, 0);
+  // A 4KB receive window against a 2MB reply: the server's send path hits
+  // EAGAIN / short writes hundreds of times and must resume cleanly.
+  const int fd = raw_connect(tcp->port(), /*rcvbuf_bytes=*/4096);
+  ASSERT_GE(fd, 0);
 
-    // Dribble the request a few bytes at a time: the read side must
-    // accumulate partial frames just as the write side must resume them.
-    const std::vector<std::uint8_t> req = frame(big_query(kOutputs));
-    for (std::size_t at = 0; at < req.size(); at += 7) {
-      const std::size_t n = std::min<std::size_t>(7, req.size() - at);
-      ASSERT_TRUE(send_all(fd, req.data() + at, n));
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-
-    serve::QueryReply reply;
-    ASSERT_TRUE(read_reply(fd, reply));
-    EXPECT_EQ(reply.status, serve::Status::Ok);
-    EXPECT_EQ(reply.ids.size(), kOutputs);
-    EXPECT_EQ(reply.scores.size(), kOutputs);
-    ::close(fd);
-    tcp->stop();
+  // Dribble the request a few bytes at a time: the read side must
+  // accumulate partial frames just as the write side must resume them.
+  const std::vector<std::uint8_t> req = frame(big_query(kOutputs));
+  for (std::size_t at = 0; at < req.size(); at += 7) {
+    const std::size_t n = std::min<std::size_t>(7, req.size() - at);
+    ASSERT_TRUE(send_all(fd, req.data() + at, n));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+
+  serve::QueryReply reply;
+  ASSERT_TRUE(read_reply(fd, reply));
+  EXPECT_EQ(reply.status, serve::Status::Ok);
+  EXPECT_EQ(reply.ids.size(), kOutputs);
+  EXPECT_EQ(reply.scores.size(), kOutputs);
+  ::close(fd);
+  tcp->stop();
 }
 
-// --- pipelining keeps request order (both transports) ------------------------
+// --- pipelining keeps request order ------------------------------------------
 
 TEST_F(SmallTransportTest, PipelinedQueriesReplyInRequestOrder) {
-  for (const serve::TransportKind kind : kTransports) {
-    SCOPED_TRACE(serve::transport_name(kind));
-    infer::InferenceEngine engine(model());
-    serve::BatchingServer server(engine, fast_config());
-    auto tcp = serve::make_transport(kind, server, {});
-    tcp->start();
+  infer::InferenceEngine engine(model());
+  serve::BatchingServer server(engine, fast_config());
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, {});
+  tcp->start();
 
-    const int fd = raw_connect(tcp->port());
-    ASSERT_GE(fd, 0);
+  const int fd = raw_connect(tcp->port());
+  ASSERT_GE(fd, 0);
 
-    // 32 queries in one burst, no reads in between.  Query i asks for i+1
-    // results, so each reply's count reveals which request it answers.
-    constexpr std::uint32_t kPipelined = 32;
-    std::vector<std::uint8_t> burst;
-    for (std::uint32_t i = 0; i < kPipelined; ++i) {
-      const std::vector<std::uint8_t> f = frame(small_query(i + 1));
-      burst.insert(burst.end(), f.begin(), f.end());
-    }
-    ASSERT_TRUE(send_all(fd, burst.data(), burst.size()));
-
-    for (std::uint32_t i = 0; i < kPipelined; ++i) {
-      serve::QueryReply reply;
-      ASSERT_TRUE(read_reply(fd, reply)) << "reply " << i;
-      EXPECT_EQ(reply.status, serve::Status::Ok);
-      EXPECT_EQ(reply.ids.size(), i + 1) << "reply out of order at " << i;
-    }
-    ::close(fd);
-    tcp->stop();
+  // 32 queries in one burst, no reads in between.  Query i asks for i+1
+  // results, so each reply's count reveals which request it answers.
+  constexpr std::uint32_t kPipelined = 32;
+  std::vector<std::uint8_t> burst;
+  for (std::uint32_t i = 0; i < kPipelined; ++i) {
+    const std::vector<std::uint8_t> f = frame(small_query(i + 1));
+    burst.insert(burst.end(), f.begin(), f.end());
   }
+  ASSERT_TRUE(send_all(fd, burst.data(), burst.size()));
+
+  for (std::uint32_t i = 0; i < kPipelined; ++i) {
+    serve::QueryReply reply;
+    ASSERT_TRUE(read_reply(fd, reply)) << "reply " << i;
+    EXPECT_EQ(reply.status, serve::Status::Ok);
+    EXPECT_EQ(reply.ids.size(), i + 1) << "reply out of order at " << i;
+  }
+  ::close(fd);
+  tcp->stop();
 }
 
-// --- epoll: high idle fan-in within a fixed thread budget --------------------
+// --- high idle fan-in within a fixed thread budget ---------------------------
 
 TEST_F(SmallTransportTest, EpollHoldsHundredsOfIdleConnections) {
   infer::InferenceEngine engine(model());
@@ -284,7 +278,7 @@ TEST_F(SmallTransportTest, EpollHoldsHundredsOfIdleConnections) {
   tcp->stop();
 }
 
-// --- epoll: a peer that stops reading is disconnected at the byte cap --------
+// --- a peer that stops reading is disconnected at the byte cap ---------------
 
 TEST_F(BigReplyTransportTest, WriteBacklogOverflowDisconnectsSlowReader) {
   infer::InferenceEngine engine(model());
@@ -314,51 +308,48 @@ TEST_F(BigReplyTransportTest, WriteBacklogOverflowDisconnectsSlowReader) {
   tcp->stop();
 }
 
-// --- fd exhaustion parks the accept loop instead of spinning (both) ----------
+// --- fd exhaustion parks the accept loop instead of spinning -----------------
 
 TEST_F(SmallTransportTest, AcceptBackoffSurvivesFdExhaustion) {
-  for (const serve::TransportKind kind : kTransports) {
-    SCOPED_TRACE(serve::transport_name(kind));
-    infer::InferenceEngine engine(model());
-    serve::BatchingServer server(engine, fast_config());
-    auto tcp = serve::make_transport(kind, server, {});
-    tcp->start();
+  infer::InferenceEngine engine(model());
+  serve::BatchingServer server(engine, fast_config());
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, {});
+  tcp->start();
 
-    // Exhaust the process fd table, leaving exactly one slot for the client
-    // socket: connect succeeds (the kernel completes the handshake via the
-    // backlog) but the server's accept() hits EMFILE and must back off.
-    std::vector<int> hogs;
-    for (;;) {
-      const int fd = ::dup(0);
-      if (fd < 0) break;
-      hogs.push_back(fd);
-    }
-    ASSERT_FALSE(hogs.empty());
-    ::close(hogs.back());
-    hogs.pop_back();
-
-    const int fd = raw_connect(tcp->port());
-    ASSERT_GE(fd, 0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    EXPECT_GE(tcp->stats().accept_backoffs, 1u);
-
-    // Release the fd table: the parked accept path must come back on its
-    // own and serve the connection that was waiting the whole time.
-    for (const int h : hogs) ::close(h);
-    hogs.clear();
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
-
-    const std::vector<std::uint8_t> req = frame(small_query(5));
-    ASSERT_TRUE(send_all(fd, req.data(), req.size()));
-    serve::QueryReply reply;
-    ASSERT_TRUE(read_reply(fd, reply));
-    EXPECT_EQ(reply.status, serve::Status::Ok);
-    ::close(fd);
-    tcp->stop();
+  // Exhaust the process fd table, leaving exactly one slot for the client
+  // socket: connect succeeds (the kernel completes the handshake via the
+  // backlog) but the server's accept() hits EMFILE and must back off.
+  std::vector<int> hogs;
+  for (;;) {
+    const int fd = ::dup(0);
+    if (fd < 0) break;
+    hogs.push_back(fd);
   }
+  ASSERT_FALSE(hogs.empty());
+  ::close(hogs.back());
+  hogs.pop_back();
+
+  const int fd = raw_connect(tcp->port());
+  ASSERT_GE(fd, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_GE(tcp->stats().accept_backoffs, 1u);
+
+  // Release the fd table: the parked accept path must come back on its
+  // own and serve the connection that was waiting the whole time.
+  for (const int h : hogs) ::close(h);
+  hogs.clear();
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+
+  const std::vector<std::uint8_t> req = frame(small_query(5));
+  ASSERT_TRUE(send_all(fd, req.data(), req.size()));
+  serve::QueryReply reply;
+  ASSERT_TRUE(read_reply(fd, reply));
+  EXPECT_EQ(reply.status, serve::Status::Ok);
+  ::close(fd);
+  tcp->stop();
 }
 
-// --- epoll: graceful drain answers in-flight queries before closing ----------
+// --- graceful drain answers in-flight queries before closing -----------------
 
 TEST_F(SmallTransportTest, EpollDrainFlushesInFlightReplies) {
   infer::InferenceEngine engine(model());
@@ -395,6 +386,61 @@ TEST_F(SmallTransportTest, EpollDrainFlushesInFlightReplies) {
   std::uint8_t probe = 0;
   EXPECT_EQ(::recv(fd, &probe, 1, 0), 0);
   ::close(fd);
+}
+
+// --- a closed connection leaves nothing behind -------------------------------
+
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST_F(SmallTransportTest, ConnectionChurnReleasesEveryConnection) {
+  infer::InferenceEngine engine(model());
+  serve::BatchingServer server(engine, fast_config());
+  auto tcp = serve::make_transport(serve::TransportKind::Epoll, server, {});
+  tcp->start();
+
+  const auto cycle = [&] {
+    serve::TcpClient client("127.0.0.1", tcp->port());
+    serve::QueryReply reply;
+    return client.round_trip_raw(small_query(5), reply) &&
+           reply.status == serve::Status::Ok;
+  };
+  // The fd baseline comes before the warm-up: the server may not have
+  // closed the warm-up connection's socket yet when the cycle returns.
+  const std::size_t fds_before = open_fds();
+  ASSERT_TRUE(cycle());  // warm-up: lazy engine and allocator state
+  const std::size_t maps_before = mapping_count();
+
+  constexpr int kCycles = 500;
+  for (int i = 0; i < kCycles; ++i) ASSERT_TRUE(cycle()) << "cycle " << i;
+
+  // The server closes its end once it reads the peer's EOF.  A connection
+  // that kept a thread, a stack or an fd would show here: a thread stack is
+  // about 2 mappings, so 500 leaked connections add about 1000.
+  constexpr std::size_t kMaxNewMappings = 100;
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while ((open_fds() != fds_before || mapping_count() >= maps_before + kMaxNewMappings) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(open_fds(), fds_before);
+  EXPECT_LT(mapping_count(), maps_before + kMaxNewMappings)
+      << "mappings before the churn: " << maps_before;
+  EXPECT_EQ(tcp->stats().connections_accepted, static_cast<std::uint64_t>(kCycles + 1));
+  tcp->stop();
 }
 
 }  // namespace

@@ -45,7 +45,6 @@
 #include "obs/metrics.h"
 #include "obs/metrics_http.h"
 #include "serve/batching_server.h"
-#include "serve/tcp_server.h"
 #include "serve/transport.h"
 #include "threading/thread_pool.h"
 #include "util/fault_injection.h"
@@ -503,16 +502,13 @@ int cmd_serve(int argc, const char* const* argv) {
   args.add_string("mode", "dense", "dense (exact) | sampled (LSH candidates)");
   args.add_int("batch-max", 64,
                "largest batch: an idle dispatcher takes up to this many queued requests");
-  args.add_int("queue-cap", 1024, "bounded request-queue capacity");
-  args.add_string("admission", "reject", "queue-full policy: reject | block");
+  args.add_int("queue-cap", 1024,
+               "bounded request-queue capacity; a full queue answers Overloaded");
   args.add_int("idle-timeout-ms", 0, "close idle connections after this (0 = never)");
-  args.add_string("transport", "",
-                  "wire front end: threads (thread per connection) | epoll "
-                  "(event-driven reactors; default on Linux)");
   args.add_int("reactors", 0, "epoll reactor threads (0 = min(4, hw threads))");
   args.add_int("write-cap-bytes", 0,
-               "epoll: disconnect a peer whose unread reply backlog exceeds "
-               "this (0 = default 16 MiB)");
+               "disconnect a peer whose unread reply backlog exceeds this "
+               "(0 = default 16 MiB)");
   args.add_double("degrade-fill", 0.75,
                   "queue fill fraction that degrades dense top-k to the "
                   "sampled path (>= 1.0 disables)");
@@ -537,24 +533,6 @@ int cmd_serve(int argc, const char* const* argv) {
   if (mode_name != "dense" && mode_name != "sampled") {
     std::fprintf(stderr, "error: --mode must be dense|sampled\n");
     return kServeExitUsage;
-  }
-  const std::string admission_name = args.get_string("admission");
-  if (admission_name != "reject" && admission_name != "block") {
-    std::fprintf(stderr, "error: --admission must be reject|block\n");
-    return kServeExitUsage;
-  }
-  serve::TransportKind transport = serve::default_transport();
-  if (!args.get_string("transport").empty() &&
-      !serve::parse_transport(args.get_string("transport"), transport)) {
-    std::fprintf(stderr, "error: --transport must be threads|epoll\n");
-    return kServeExitUsage;
-  }
-  if (transport == serve::TransportKind::Epoll && admission_name == "block") {
-    // submit_async never parks a reactor thread, so Block-mode admission
-    // degrades to Reject on the epoll path.
-    std::fprintf(stderr,
-                 "warning: --admission block behaves as reject under "
-                 "--transport epoll\n");
   }
   if (args.get_int("port") < 0 || args.get_int("port") > 65535) {
     std::fprintf(stderr, "error: --port must be in [0, 65535]\n");
@@ -594,8 +572,6 @@ int cmd_serve(int argc, const char* const* argv) {
       1, args.get_int("batch-max")));
   scfg.queue_capacity = static_cast<std::size_t>(std::max<std::int64_t>(
       1, args.get_int("queue-cap")));
-  scfg.admission = admission_name == "block" ? serve::Admission::Block
-                                             : serve::Admission::Reject;
   scfg.k = static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("topk")));
   scfg.mode = mode_name == "sampled" ? infer::TopKMode::Sampled : infer::TopKMode::Dense;
   scfg.pressure.degrade_fill = args.get_double("degrade-fill");
@@ -621,7 +597,7 @@ int cmd_serve(int argc, const char* const* argv) {
       std::max<std::int64_t>(0, args.get_int("trace-sample")));
   std::unique_ptr<serve::ServerTransport> tcp;
   try {
-    tcp = serve::make_transport(transport, server, tcfg);
+    tcp = serve::make_transport(serve::TransportKind::Epoll, server, tcfg);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: cannot bind %s:%lld: %s\n", tcfg.bind_address.c_str(),
                  static_cast<long long>(args.get_int("port")), e.what());
@@ -631,10 +607,9 @@ int cmd_serve(int argc, const char* const* argv) {
   log_info("serve: model=", args.get_string("model"), " params=", packed.num_params(),
            " mode=", mode_name, " backend=", kernels::active_isa_name());
   log_info("serve: batch-max=", scfg.policy.max_batch_size,
-           " queue-cap=", scfg.queue_capacity, " admission=", admission_name,
+           " queue-cap=", scfg.queue_capacity,
            " degrade-fill=", scfg.pressure.degrade_fill,
-           " idle-timeout-ms=", tcfg.idle_timeout_ms,
-           " transport=", serve::transport_name(transport));
+           " idle-timeout-ms=", tcfg.idle_timeout_ms);
 
   std::unique_ptr<obs::MetricsHttpServer> metrics_http;
   if (args.get_int("metrics-port") >= 0) {
