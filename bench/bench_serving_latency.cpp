@@ -56,6 +56,7 @@
 
 #include <arpa/inet.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <future>
@@ -242,45 +243,51 @@ int run_tcp_loadgen(const std::string& connect, const std::string& queries_file,
 // --- --metrics-overhead: live registry vs no-op registry, same cell ----------
 //
 // The ISSUE-10 acceptance bar: counters + stage histograms on the hot path
-// must cost < 1% QPS.  Interleaves disabled/enabled cells (A/B/A/B...) so
-// clock drift and cache warmup cancel instead of landing on one side.
+// must cost < 1% QPS.  Runs kPairs off/on pairs of one cell, alternating
+// which arm goes first so clock drift and warm-up land on both arms, and
+// judges the median of the per-pair overheads: a cell lasts milliseconds,
+// so one noisy cell moves a mean of a few pairs but not the median.
 int run_metrics_overhead(infer::InferenceEngine& engine,
                          std::span<const data::SparseVectorView> queries,
                          std::size_t total, unsigned clients, std::size_t batch_max) {
   obs::MetricsRegistry disabled(false);
   obs::MetricsRegistry enabled(true);
-  constexpr int kRepeats = 5;
+  constexpr std::size_t kPairs = 41;
 
   std::printf("metrics overhead: %zu queries/cell, %u clients, batch-max=%zu, "
-              "%d interleaved repeats per arm\n",
-              total, clients, batch_max, kRepeats);
+              "%zu off/on pairs, alternating which arm runs first\n",
+              total, clients, batch_max, kPairs);
+  const auto qps = [&](obs::MetricsRegistry* metrics) {
+    return run_cell(engine, Dispatch::Batched, infer::TopKMode::Dense, queries, total, clients,
+                    batch_max, metrics)
+        .qps;
+  };
 
   // Warm both arms once (thread pool spin-up, page faults).
-  run_cell(engine, Dispatch::Batched, infer::TopKMode::Dense, queries, total, clients,
-           batch_max, &disabled);
-  run_cell(engine, Dispatch::Batched, infer::TopKMode::Dense, queries, total, clients,
-           batch_max, &enabled);
+  qps(&disabled);
+  qps(&enabled);
 
-  double qps_off = 0.0, qps_on = 0.0;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    qps_off += run_cell(engine, Dispatch::Batched, infer::TopKMode::Dense, queries,
-                        total, clients, batch_max, &disabled)
-                   .qps;
-    qps_on += run_cell(engine, Dispatch::Batched, infer::TopKMode::Dense, queries,
-                       total, clients, batch_max, &enabled)
-                  .qps;
+  std::vector<double> overhead;  // per pair, percent of the off arm's QPS
+  for (std::size_t pair = 0; pair < kPairs; ++pair) {
+    double off, on;
+    if (pair % 2 == 0) {
+      off = qps(&disabled);
+      on = qps(&enabled);
+    } else {
+      on = qps(&enabled);
+      off = qps(&disabled);
+    }
+    overhead.push_back(off > 0.0 ? 100.0 * (1.0 - on / off) : 0.0);
   }
-  qps_off /= kRepeats;
-  qps_on /= kRepeats;
-
-  const double overhead = qps_off > 0.0 ? 100.0 * (1.0 - qps_on / qps_off) : 0.0;
-  std::printf("metrics off: %10.0f QPS\nmetrics on:  %10.0f QPS\n"
-              "overhead: %+.2f%% (target < 1%%)\n",
-              qps_off, qps_on, overhead);
+  std::sort(overhead.begin(), overhead.end());
+  const auto quartile = [&](std::size_t q) { return overhead[q * (kPairs - 1) / 4]; };
+  const double median = quartile(2);
+  std::printf("overhead per pair: median %+.2f%% [q1 %+.2f%%, q3 %+.2f%%] (target < 1%%)\n",
+              median, quartile(1), quartile(3));
   // Pass/fail is advisory only when the delta is within run-to-run noise;
   // a hard gate would flake on loaded CI machines, so the exit code only
   // trips on an egregious regression.
-  return overhead < 5.0 ? 0 : 1;
+  return median < 5.0 ? 0 : 1;
 }
 
 // --- --connections: idle fan-in vs tail latency ------------------------------

@@ -146,41 +146,139 @@ struct Int8Dots {
   }
 };
 
+// Rows [r0, r0 + m) of a neuron-major layer, as a layer of their own.
+LayerView row_slice(LayerView L, std::size_t r0, std::size_t m) {
+  const std::size_t offset = r0 * L.input_dim;
+  if (L.w != nullptr) L.w += offset;
+  if (L.w16 != nullptr) L.w16 += offset;
+  if (L.w8 != nullptr) L.w8 += offset;
+  if (L.w_scale != nullptr) L.w_scale += r0;
+  if (L.w_rowsum != nullptr) L.w_rowsum += r0;
+  L.bias += r0;
+  L.dim = m;
+  return L;
+}
+
+// Layer i, which computes every neuron from dense inputs, for every query
+// of the block: kQueryBlock queries per sweep over the rows, `tile` rows
+// at a time into each query's act.  With `rank`, each query merges every
+// tile into its running top-k before the next tile overwrites it (act
+// holds `tile` floats); without, one tile covers the layer.
+template <class Dots>
+void dense_blocks(const LayerView& L, std::size_t i, std::span<const data::SparseVectorView> xs,
+                  std::span<ForwardScratch> s, std::size_t tile, bool rank) {
+  LayerInput in[kQueryBlock];
+  float* out[kQueryBlock];
+  for (std::size_t q0 = 0; q0 < xs.size(); q0 += kQueryBlock) {
+    const std::size_t nq = std::min(kQueryBlock, xs.size() - q0);
+    for (std::size_t q = 0; q < nq; ++q) {
+      in[q] = input_of(xs[q0 + q], s[q0 + q], i);
+      out[q] = s[q0 + q].layers[i].act.data();
+    }
+    for (std::size_t r0 = 0; r0 < L.dim; r0 += tile) {
+      const std::size_t m = std::min(tile, L.dim - r0);
+      Dots::dense(row_slice(L, r0, m), nullptr, m, in, out, nq, &s[q0]);
+      if (!rank) continue;
+      for (std::size_t q = 0; q < nq; ++q) {
+        s[q0 + q].topk.push(out[q], m, static_cast<std::uint32_t>(r0));
+      }
+    }
+  }
+}
+
 // Layer i's pre-activations for every query of the block.  A dense input
-// into a layer that computes every neuron runs kQueryBlock queries per
-// sweep over the rows; other layers go query by query.  (The block's
-// layout is query 0's: an unsampled block computes every neuron for every
-// query, and a sampled call holds one query.)
+// into a layer that computes every neuron runs as dense_blocks; other
+// layers go query by query.  (The block's layout is query 0's: an
+// unsampled block computes every neuron for every query, and a sampled
+// call holds one query.)
 template <class Dots>
 void pre_activations(const LayerView& L, std::size_t i,
                      std::span<const data::SparseVectorView> xs, std::span<ForwardScratch> s) {
-  LayerInput in[kQueryBlock];
-  float* out[kQueryBlock];
   if (!L.feature_major && i > 0 && s[0].layers[i - 1].active.empty() &&
       s[0].layers[i].active.empty()) {
-    for (std::size_t q0 = 0; q0 < xs.size(); q0 += kQueryBlock) {
-      const std::size_t nq = std::min(kQueryBlock, xs.size() - q0);
-      for (std::size_t q = 0; q < nq; ++q) {
-        in[q] = input_of(xs[q0 + q], s[q0 + q], i);
-        out[q] = s[q0 + q].layers[i].act.data();
-      }
-      Dots::dense(L, nullptr, L.dim, in, out, nq, &s[q0]);
-    }
+    dense_blocks<Dots>(L, i, xs, s, L.dim, /*rank=*/false);
     return;
   }
   for (std::size_t q = 0; q < xs.size(); ++q) {
-    in[0] = input_of(xs[q], s[q], i);
+    const LayerInput in = input_of(xs[q], s[q], i);
     LayerScratch& lw = s[q].layers[i];
     const std::uint32_t* rows = lw.active.empty() ? nullptr : lw.active.data();
-    out[0] = lw.act.data();
+    float* out = lw.act.data();
     if (L.feature_major) {
-      Dots::sweep(L, in[0], out[0], s[q]);  // dense input layer: nnz row sweeps
-    } else if (in[0].sparse) {
+      Dots::sweep(L, in, out, s[q]);  // dense input layer: nnz row sweeps
+    } else if (in.sparse) {
       for (std::size_t k = 0; k < lw.act.size(); ++k) {
-        out[0][k] = Dots::sparse(L, neuron_at(rows, k), in[0]);
+        out[k] = Dots::sparse(L, neuron_at(rows, k), in);
       }
     } else {
-      Dots::dense(L, rows, lw.act.size(), in, out, 1, &s[q]);
+      Dots::dense(L, rows, lw.act.size(), &in, &out, 1, &s[q]);
+    }
+  }
+}
+
+// Calls f with the Dots of `precision`.
+template <class F>
+void with_dots(Precision precision, F&& f) {
+  switch (precision) {
+    case Precision::Fp32:
+      return f(F32Dots{});
+    case Precision::Bf16Activations:
+      return f(Bf16ActDots{});
+    case Precision::Bf16All:
+      return f(Bf16Dots{});
+    case Precision::Int8:
+      return f(Int8Dots{});
+  }
+}
+
+// Layer i for every query of the block: the candidate selection (sampled
+// calls, hashed layers), the pre-activations and, below the output layer,
+// the activation and the mirrors layer i + 1 reads.
+void forward_layer(std::span<const LayerView> layers, std::size_t i, Precision precision,
+                   std::span<const data::SparseVectorView> xs, bool sampled,
+                   std::span<ForwardScratch> s, std::span<const std::uint32_t> forced) {
+  const LayerView& L = layers[i];
+
+  // --- candidate selection from the tables, query by query ---------------
+  // An empty selection (possible with min_active = 0) leaves `active`
+  // empty, which computes every neuron.
+  for (std::size_t q = 0; q < xs.size(); ++q) {
+    LayerScratch& lw = s[q].layers[i];
+    lw.active.clear();
+    if (sampled && L.family != nullptr) {
+      const LayerInput in = input_of(xs[q], s[q], i);
+      if (in.sparse) {
+        L.family->hash_sparse(in.idx, in.f32, in.nnz, lw.buckets.data());
+      } else {
+        L.family->hash_dense(in.f32, lw.buckets.data());
+      }
+      lsh::select_active_set(*L.tables, lw.buckets.data(),
+                             i + 1 == layers.size() ? forced : std::span<const std::uint32_t>{},
+                             L.dim, L.limits, lw.sampler, lw.active);
+    }
+    lw.act.resize(lw.active.empty() ? L.dim : lw.active.size());
+  }
+
+  // --- pre-activations: the precision picks the dots once per layer ----
+  with_dots(precision, [&](auto dots) { pre_activations<decltype(dots)>(L, i, xs, s); });
+
+  if (i + 1 == layers.size()) return;  // output logits stay raw
+  const bool bf16_act = precision == Precision::Bf16Activations || precision == Precision::Bf16All;
+  for (std::size_t q = 0; q < xs.size(); ++q) {
+    LayerScratch& lw = s[q].layers[i];
+    const std::size_t count = lw.act.size();
+    if (L.activation == Activation::ReLU) kernels::relu_f32(lw.act.data(), count);
+    // Linear hidden layers pass through.  The mirrors are what layer i+1 reads.
+    if (bf16_act) {
+      lw.act16.resize(count);
+      kernels::fp32_to_bf16(lw.act.data(), lw.act16.data(), count);
+    }
+    if (precision == Precision::Int8) {
+      // Layer i+1's qparams describe its input, i.e. this layer's output.
+      const LayerView& next = layers[i + 1];
+      lw.act8.resize(count);
+      kernels::quantize_u8(lw.act.data(), lw.act8.data(), count, 1.0f / next.in_scale,
+                           next.in_zero);
     }
   }
 }
@@ -198,26 +296,11 @@ LayerScratch::LayerScratch(std::uint64_t sampler_seed, const LayerView& layer)
   act.reserve(hint);
 }
 
-std::size_t query_block_size(std::span<const LayerView> layers, Precision precision) {
-  // A full-width query holds every layer's fp32 activations and, at Int8,
-  // the i32 dots of its widest layer.
-  std::size_t bytes = 0, widest = 0;
-  for (const LayerView& L : layers) {
-    bytes += L.dim * sizeof(float);
-    widest = std::max(widest, L.dim);
-  }
-  if (precision == Precision::Int8) bytes += widest * sizeof(std::int32_t);
-  return std::clamp<std::size_t>(kQueryBlockBytes / std::max<std::size_t>(bytes, 1), 1,
-                                 kQueryBlock);
-}
-
 void inference_forward(std::span<const LayerView> layers, Precision precision,
                        std::span<const data::SparseVectorView> xs, bool sampled,
                        std::span<ForwardScratch> s, std::span<const std::uint32_t> forced,
                        std::size_t depth) {
-  const bool int8 = precision == Precision::Int8;
-  const bool bf16_act = precision == Precision::Bf16Activations || precision == Precision::Bf16All;
-  if (int8) {
+  if (precision == Precision::Int8) {
     // Quantize each query once against layer 0's input qparams; every row
     // then reuses the same u8 buffer.
     for (std::size_t q = 0; q < xs.size(); ++q) {
@@ -228,62 +311,39 @@ void inference_forward(std::span<const LayerView> layers, Precision precision,
   }
   depth = std::min(depth, layers.size());
   for (std::size_t i = 0; i < depth; ++i) {
-    const LayerView& L = layers[i];
+    forward_layer(layers, i, precision, xs, sampled, s, forced);
+  }
+}
 
-    // --- candidate selection from the tables, query by query ---------------
-    // An empty selection (possible with min_active = 0) leaves `active`
-    // empty, which computes every neuron.
+void inference_topk(std::span<const LayerView> layers, Precision precision,
+                    std::span<const data::SparseVectorView> xs, bool sampled, std::size_t k,
+                    std::span<ForwardScratch> s) {
+  if (xs.empty()) return;
+  const std::size_t last = layers.size() - 1;
+  const LayerView& L = layers[last];
+  inference_forward(layers, precision, xs, sampled, s, {}, last);
+  for (std::size_t q = 0; q < xs.size(); ++q) s[q].topk.reset(k);
+  // The block's layout is query 0's, as in pre_activations.
+  if (!L.feature_major && last > 0 && s[0].layers[last - 1].active.empty() &&
+      !(sampled && L.family != nullptr)) {
     for (std::size_t q = 0; q < xs.size(); ++q) {
-      LayerScratch& lw = s[q].layers[i];
+      LayerScratch& lw = s[q].layers[last];
       lw.active.clear();
-      if (sampled && L.family != nullptr) {
-        const LayerInput in = input_of(xs[q], s[q], i);
-        if (in.sparse) {
-          L.family->hash_sparse(in.idx, in.f32, in.nnz, lw.buckets.data());
-        } else {
-          L.family->hash_dense(in.f32, lw.buckets.data());
-        }
-        lsh::select_active_set(*L.tables, lw.buckets.data(),
-                               i + 1 == layers.size() ? forced : std::span<const std::uint32_t>{},
-                               L.dim, L.limits, lw.sampler, lw.active);
-      }
-      lw.act.resize(lw.active.empty() ? L.dim : lw.active.size());
+      lw.act.resize(std::min(L.dim, kOutputTileRows));
     }
-
-    // --- pre-activations: the precision picks the dots once per layer ----
-    switch (precision) {
-      case Precision::Fp32:
-        pre_activations<F32Dots>(L, i, xs, s);
-        break;
-      case Precision::Bf16Activations:
-        pre_activations<Bf16ActDots>(L, i, xs, s);
-        break;
-      case Precision::Bf16All:
-        pre_activations<Bf16Dots>(L, i, xs, s);
-        break;
-      case Precision::Int8:
-        pre_activations<Int8Dots>(L, i, xs, s);
-        break;
-    }
-
-    if (i + 1 == layers.size()) break;  // output logits stay raw
-    for (std::size_t q = 0; q < xs.size(); ++q) {
-      LayerScratch& lw = s[q].layers[i];
-      const std::size_t count = lw.act.size();
-      if (L.activation == Activation::ReLU) kernels::relu_f32(lw.act.data(), count);
-      // Linear hidden layers pass through.  The mirrors are what layer i+1 reads.
-      if (bf16_act) {
-        lw.act16.resize(count);
-        kernels::fp32_to_bf16(lw.act.data(), lw.act16.data(), count);
-      }
-      if (int8) {
-        // Layer i+1's qparams describe its input, i.e. this layer's output.
-        const LayerView& next = layers[i + 1];
-        lw.act8.resize(count);
-        kernels::quantize_u8(lw.act.data(), lw.act8.data(), count, 1.0f / next.in_scale,
-                             next.in_zero);
-      }
-    }
+    with_dots(precision, [&](auto dots) {
+      dense_blocks<decltype(dots)>(L, last, xs, s, kOutputTileRows, /*rank=*/true);
+    });
+    for (std::size_t q = 0; q < xs.size(); ++q) s[q].topk.finish();
+    return;
+  }
+  forward_layer(layers, last, precision, xs, sampled, s, {});
+  for (std::size_t q = 0; q < xs.size(); ++q) {
+    const LayerScratch& out = s[q].layers[last];
+    s[q].topk.push(out.act.data(), out.act.size(), 0);
+    // Compact logits rank by slot; the slots map back to neuron ids.
+    const std::uint32_t* rows = out.active.empty() ? nullptr : out.active.data();
+    for (Scored& e : s[q].topk.finish()) e.id = neuron_at(rows, e.id);
   }
 }
 

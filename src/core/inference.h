@@ -2,10 +2,11 @@
 // Sections 4.2-4.4) over every neuron, or over SLIDE's LSH-sampled active
 // sets, for a block of queries.  Training (Network::forward: this pass with
 // the example's labels forced into the output layer's active set, then the
-// softmax and the loss), Network::predict_topk (and through it the
-// trainer's eval), PackedModel's int8 calibration and InferenceEngine all
-// run inference_forward, so a frozen copy ranks exactly like the live
-// network.
+// softmax and the loss) and PackedModel's int8 calibration run
+// inference_forward; every ranking (Network::predict_topk and through it
+// the trainer's eval, InferenceEngine) runs inference_topk, the same pass
+// with the output layer merged into a running top-k tile by tile.  So a
+// frozen copy ranks exactly like the live network.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/metrics.h"
 #include "data/sparse_batch.h"
 #include "lsh/hash_function.h"
 #include "lsh/lsh_table.h"
@@ -69,11 +71,13 @@ inline std::uint32_t neuron_at(const std::uint32_t* rows, std::size_t k) {
   return rows == nullptr ? static_cast<std::uint32_t>(k) : rows[k];
 }
 
-// One query's scratch: a LayerScratch per layer plus the int8 path's
-// query-wide buffers.  The training Workspace extends it with gradient
-// buffers; a block of queries runs in one per query.
+// One query's scratch: a LayerScratch per layer, the int8 path's
+// query-wide buffers and inference_topk's ranking.  The training Workspace
+// extends it with gradient buffers; a block of queries runs in one per
+// query.
 struct ForwardScratch {
   std::vector<LayerScratch> layers;
+  TopK topk;                           // inference_topk's result
   AlignedVector<std::uint8_t> qin;     // Int8: the query's quantized values
   AlignedVector<std::int32_t> acc32;   // Int8: raw i32 dot accumulators
   AlignedVector<std::int32_t> wsum32;  // Int8: the input layer's zero-point weight sums
@@ -84,15 +88,11 @@ struct ForwardScratch {
 // rows once per kQueryBlock queries.
 inline constexpr std::size_t kQueryBlock = 16;
 
-// A block's full-width activations stay within this many bytes, unless one
-// query alone needs more.  A 13k-label model runs 16 queries per block; a
-// 670k-label one (2.7 MB of logits per query) runs one, so a wide model's
-// eval and serving scratch stays one query per worker.
-inline constexpr std::size_t kQueryBlockBytes = std::size_t{4} << 20;
-
-// Queries per block for `layers` at `precision`: kQueryBlock, or as many
-// (at least one) as fit kQueryBlockBytes.
-std::size_t query_block_size(std::span<const LayerView> layers, Precision precision);
+// Rows per tile of inference_topk's output sweep.  A multiple of 4, so
+// dot_rows_*'s four-row groups and leftover rows fall on the rows a
+// whole-layer sweep gives them; a block's tile (16 queries x 256 fp32
+// logits, 16 KiB) stays in L1 while its queries rank it.
+inline constexpr std::size_t kOutputTileRows = 256;
 
 // Runs the first `depth` layers of `layers` on the queries xs at
 // `precision`, query q in s[q] (s.size() >= xs.size()), leaving its layer
@@ -124,5 +124,23 @@ inline void inference_forward(std::span<const LayerView> layers, Precision preci
                               std::size_t depth = std::numeric_limits<std::size_t>::max()) {
   inference_forward(layers, precision, {&x, 1}, sampled, {&s, 1}, forced, depth);
 }
+
+// Ranks the output neurons of the queries xs: query q's k best land in
+// s[q].topk.ranked(), best first, as (raw logit, neuron id) pairs in the
+// order topk_indices gives over inference_forward's logits (score
+// descending, ties to the lower id; a sampled output ranks its compact
+// logits, ties to the lower slot, and maps the slots to neuron ids).  The
+// hidden layers run as in inference_forward.  An output layer that
+// computes every neuron from a dense input never holds a query's full
+// logits: the block sweeps its rows kOutputTileRows at a time, each tile
+// (with the bias, at Int8 the rescale) landing in s[q].layers.back().act
+// and merging into the query's running top-k, with scores bit for bit
+// those of a whole-layer sweep.  Feature-major, sparse-input and sampled
+// output layers compute their full or compact logits in act first.  Every
+// dense ranking in the library (Network::predict_topk, the trainer's eval,
+// InferenceEngine) runs through here; sampled calls hold one query.
+void inference_topk(std::span<const LayerView> layers, Precision precision,
+                    std::span<const data::SparseVectorView> xs, bool sampled, std::size_t k,
+                    std::span<ForwardScratch> s);
 
 }  // namespace slide

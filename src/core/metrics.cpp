@@ -2,30 +2,48 @@
 
 #include <algorithm>
 
+#include "kernels/kernels.h"
+
 namespace slide {
+namespace {
+
+// "a ranks before b": the heap is a min-heap on it, so its front is the
+// worst kept pair, and sort_heap leaves the best first.
+bool better(const Scored& a, const Scored& b) {
+  return a.score > b.score || (a.score == b.score && a.id < b.id);
+}
+
+}  // namespace
+
+void TopK::push(const float* scores, std::size_t n, std::uint32_t first_id) {
+  std::size_t j = 0;
+  for (; j < n && heap_.size() < k_; ++j) {
+    heap_.push_back({scores[j], first_id + static_cast<std::uint32_t>(j)});
+    std::push_heap(heap_.begin(), heap_.end(), better);
+  }
+  if (heap_.empty()) return;  // k == 0
+  while (j < n) {
+    j += kernels::first_above_f32(scores + j, n - j, heap_.front().score);
+    if (j == n) break;
+    std::pop_heap(heap_.begin(), heap_.end(), better);
+    heap_.back() = {scores[j], first_id + static_cast<std::uint32_t>(j)};
+    std::push_heap(heap_.begin(), heap_.end(), better);
+    ++j;
+  }
+}
+
+std::span<Scored> TopK::finish() {
+  std::sort_heap(heap_.begin(), heap_.end(), better);
+  return heap_;
+}
 
 void topk_indices(const float* scores, std::size_t n, std::size_t k,
                   std::vector<std::uint32_t>& out) {
+  TopK top;
+  top.reset(k);
+  top.push(scores, n, 0);
   out.clear();
-  k = std::min(k, n);
-  if (k == 0) return;
-  // Small-k selection: keep a sorted (descending) window of the best k.
-  out.reserve(k);
-  const auto better = [&](std::uint32_t a, std::uint32_t b) {
-    return scores[a] > scores[b] || (scores[a] == scores[b] && a < b);
-  };
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (out.size() < k) {
-      out.push_back(i);
-      std::push_heap(out.begin(), out.end(), better);  // min-heap on "better"
-    } else if (better(i, out.front())) {
-      std::pop_heap(out.begin(), out.end(), better);
-      out.back() = i;
-      std::push_heap(out.begin(), out.end(), better);
-    }
-  }
-  // sort_heap orders by the comparator, i.e. best prediction first.
-  std::sort_heap(out.begin(), out.end(), better);
+  for (const Scored& e : top.finish()) out.push_back(e.id);
 }
 
 double precision_at_k(std::span<const std::uint32_t> topk,

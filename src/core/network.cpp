@@ -5,7 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "core/metrics.h"
 #include "util/rng.h"
 
 namespace slide {
@@ -174,10 +173,10 @@ void Network::rebuild_hash_tables(ThreadPool* pool) {
 void Network::predict_topk(std::span<const data::SparseVectorView> xs, std::size_t k,
                            std::span<ForwardScratch> s,
                            std::span<std::vector<std::uint32_t>> out) const {
-  inference_forward(views_, cfg_.precision, xs, /*sampled=*/false, s);
+  inference_topk(views_, cfg_.precision, xs, /*sampled=*/false, k, s);
   for (std::size_t q = 0; q < xs.size(); ++q) {
-    const auto& logits = s[q].layers.back().act;
-    topk_indices(logits.data(), logits.size(), k, out[q]);
+    out[q].clear();
+    for (const Scored& e : s[q].topk.ranked()) out[q].push_back(e.id);
   }
 }
 

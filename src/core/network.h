@@ -5,7 +5,8 @@
 // inference_forward in core/inference.h, the same code a frozen PackedModel
 // serves through: forward() runs it sampled, with the example's labels
 // forced into the output layer's active set, then adds the softmax and the
-// loss; predict_topk (and with it the trainer's eval) runs it unsampled.  A
+// loss; predict_topk (and with it the trainer's eval) ranks it unsampled
+// through inference_topk.  A
 // hashed layer whose selection comes up empty computes every neuron.
 //
 // Threading model: Network owns the shared state (weights, gradient arenas,
@@ -86,10 +87,14 @@ class Network {
   // Forces an immediate rebuild of all hash tables.
   void rebuild_hash_tables(ThreadPool* pool);
 
-  // Full (dense) inference through the shared pass (core/inference.h) for
-  // a block of queries: evaluates every output neuron and fills out[q] with
-  // the k best for xs[q], best first; query q runs in s[q], and its raw
-  // logits stay in s[q].layers.back().act.  Used for P@k.
+  // Full (dense) inference for a block of queries through the shared
+  // ranking (inference_topk, core/inference.h): evaluates every output
+  // neuron and fills out[q] with the k best for xs[q], best first (score
+  // descending, ties to the lower id).  Query q runs in s[q], whose
+  // topk.ranked() also holds the k best logits.  The output layer is
+  // ranked tile by tile, so s[q].layers.back().act does not hold the full
+  // logits; inference_forward(views(), precision(), x, false, s) computes
+  // them.  Used for P@k.
   void predict_topk(std::span<const data::SparseVectorView> xs, std::size_t k,
                     std::span<ForwardScratch> s,
                     std::span<std::vector<std::uint32_t>> out) const;

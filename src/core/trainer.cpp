@@ -368,11 +368,12 @@ double Trainer::evaluate_p_at_k(const data::Dataset& test_set, std::size_t k,
   const std::size_t n = max_examples == 0 ? test_set.size()
                                           : std::min(test_set.size(), max_examples);
   if (n == 0 || k == 0) return 0.0;
-  const std::size_t block = query_block_size(net_.views(), net_.precision());
   while (eval_blocks_.size() < pool.size()) {
     EvalBlock& b = eval_blocks_.emplace_back();
-    for (std::size_t q = 0; q < block; ++q) b.scratch.push_back(net_.make_forward_scratch());
-    b.topk.resize(block);
+    for (std::size_t q = 0; q < kQueryBlock; ++q) {
+      b.scratch.push_back(net_.make_forward_scratch());
+    }
+    b.topk.resize(kQueryBlock);
   }
 
   std::vector<CacheAligned<double>> partials(pool.size());
@@ -380,10 +381,9 @@ double Trainer::evaluate_p_at_k(const data::Dataset& test_set, std::size_t k,
     EvalBlock& b = eval_blocks_[rank];
     data::SparseVectorView xs[kQueryBlock];
     double local = 0.0;
-    // A chunk is one block, unless the model is too wide for kQueryBlock
-    // queries or a reentrant call ran the whole range here.
-    for (std::size_t b0 = lo; b0 < hi; b0 += block) {
-      const std::size_t m = std::min(block, hi - b0);
+    // A chunk is one block, unless a reentrant call ran the whole range here.
+    for (std::size_t b0 = lo; b0 < hi; b0 += kQueryBlock) {
+      const std::size_t m = std::min(kQueryBlock, hi - b0);
       for (std::size_t q = 0; q < m; ++q) xs[q] = test_set.features(b0 + q);
       net_.predict_topk({xs, m}, k, {b.scratch.data(), m}, {b.topk.data(), m});
       for (std::size_t q = 0; q < m; ++q) {

@@ -96,8 +96,9 @@ class Trainer {
 
   // Mean P@k (|top-k ∩ labels| / k, the extreme-classification convention)
   // over (up to max_examples of) the test set via Network::predict_topk,
-  // each pool chunk of kQueryBlock examples running as one query block (as
-  // several when query_block_size caps a wide model's block).
+  // each pool chunk of kQueryBlock examples running as one query block at
+  // every output width (the output layer is ranked tile by tile, so no
+  // block holds full-width logits).
   double evaluate_p_at_k(const data::Dataset& test_set, std::size_t k,
                          std::size_t max_examples = 0);
   double evaluate_p_at_1(const data::Dataset& test_set, std::size_t max_examples = 0) {
@@ -130,7 +131,7 @@ class Trainer {
   TrainerConfig cfg_;
   std::vector<Workspace> workspaces_;  // one per pool worker rank
   // Eval state per pool worker rank: a scratch and a top-k list for each
-  // query of a block (core/inference.h's query_block_size).
+  // of a block's kQueryBlock queries.
   struct EvalBlock {
     std::vector<ForwardScratch> scratch;
     std::vector<std::vector<std::uint32_t>> topk;

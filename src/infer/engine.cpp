@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/metrics.h"
 #include "util/rng.h"
 
 namespace slide::infer {
@@ -12,7 +11,6 @@ InferenceEngine::InferenceEngine(const PackedModel& model, std::uint64_t seed)
   for (std::size_t i = 0; i < model_.num_layers(); ++i) {
     views_.push_back(model_.layer(i).view());
   }
-  block_ = query_block_size(views_, model_.precision());
 }
 
 std::unique_ptr<InferenceEngine::Scratch> InferenceEngine::acquire_scratch() {
@@ -47,38 +45,19 @@ void InferenceEngine::reserve_queries(Scratch& s, std::size_t n) const {
   }
 }
 
-void InferenceEngine::forward(data::SparseVectorView x, TopKMode mode, Scratch& s) {
-  inference_forward(views_, model_.precision(), x, mode == TopKMode::Sampled, s.queries[0]);
-}
-
-void InferenceEngine::emit_topk(Scratch& s, std::size_t q, std::size_t k,
-                                std::vector<std::uint32_t>& ids, std::vector<float>* scores) {
-  const LayerScratch& out = s.queries[q].layers.back();
-  if (out.active.empty()) {
-    topk_indices(out.act.data(), out.act.size(), k, ids);
-  } else {
-    // Compact logits: rank, then map back to real neuron ids.
-    topk_indices(out.act.data(), out.act.size(), k, s.topk);
-    ids.resize(s.topk.size());
-    for (std::size_t j = 0; j < s.topk.size(); ++j) ids[j] = out.active[s.topk[j]];
-    if (scores != nullptr) {
-      scores->resize(s.topk.size());
-      for (std::size_t j = 0; j < s.topk.size(); ++j) (*scores)[j] = out.act[s.topk[j]];
-    }
-    return;
-  }
-  if (scores != nullptr) {
-    scores->resize(ids.size());
-    for (std::size_t j = 0; j < ids.size(); ++j) (*scores)[j] = out.act[ids[j]];
-  }
-}
-
 void InferenceEngine::predict_topk(data::SparseVectorView x, std::size_t k,
                                    std::vector<std::uint32_t>& ids, TopKMode mode,
                                    std::vector<float>* scores) {
   Lease lease(*this);
-  forward(x, mode, *lease);
-  emit_topk(*lease, 0, k, ids, scores);
+  ForwardScratch& f = (*lease).queries[0];
+  inference_topk(views_, model_.precision(), {&x, 1}, mode == TopKMode::Sampled, k, {&f, 1});
+  const std::span<const Scored> top = f.topk.ranked();
+  ids.resize(top.size());
+  for (std::size_t j = 0; j < top.size(); ++j) ids[j] = top[j].id;
+  if (scores != nullptr) {
+    scores->resize(top.size());
+    for (std::size_t j = 0; j < top.size(); ++j) (*scores)[j] = top[j].score;
+  }
 }
 
 void InferenceEngine::predict_topk_batch(std::span<const data::SparseVectorView> xs,
@@ -89,39 +68,32 @@ void InferenceEngine::predict_topk_batch(std::span<const data::SparseVectorView>
   if (xs.empty() || k == 0) return;
   if (pool == nullptr) pool = &global_pool();
 
+  const bool sampled = mode == TopKMode::Sampled;
   const auto serve_range = [&](std::size_t lo, std::size_t hi) {
     Lease lease(*this);
     Scratch& s = *lease;
-    std::vector<std::uint32_t> ids;
-    std::vector<float> scores;
-    // Query q's row of the outputs from slot `slot`, then its hook.
-    const auto finish = [&](std::size_t q, std::size_t slot) {
-      emit_topk(s, slot, k, ids, out_scores != nullptr ? &scores : nullptr);
-      std::uint32_t* row = out_ids + q * k;
-      std::copy(ids.begin(), ids.end(), row);
-      std::fill(row + ids.size(), row + k, kInvalidId);
-      if (out_scores != nullptr) {
-        float* srow = out_scores + q * k;
-        std::copy(scores.begin(), scores.end(), srow);
-        std::fill(srow + scores.size(), srow + k, 0.0f);
-      }
-      if (on_query_done) on_query_done(q);
-    };
-    if (mode == TopKMode::Sampled) {
-      for (std::size_t q = lo; q < hi; ++q) {
-        forward(xs[q], mode, s);
-        finish(q, 0);
-      }
-      return;
-    }
-    // Dense: the chunk runs as query blocks (one, unless the pool handed
-    // this worker more than block_ queries).
-    for (std::size_t b = lo; b < hi; b += block_) {
-      const std::size_t m = std::min(block_, hi - b);
+    // Sampled queries run one per call, since their candidate sets differ;
+    // a Dense chunk runs as query blocks (one, unless the pool handed this
+    // worker more than kQueryBlock queries).
+    const std::size_t block = sampled ? 1 : kQueryBlock;
+    for (std::size_t b = lo; b < hi; b += block) {
+      const std::size_t m = std::min(block, hi - b);
       reserve_queries(s, m);
-      inference_forward(views_, model_.precision(), xs.subspan(b, m), /*sampled=*/false,
-                        std::span(s.queries).first(m));
-      for (std::size_t q = 0; q < m; ++q) finish(b + q, q);
+      inference_topk(views_, model_.precision(), xs.subspan(b, m), sampled, k,
+                     std::span(s.queries).first(m));
+      // Each query's row of the outputs, padded past its ranking, then its hook.
+      for (std::size_t q = 0; q < m; ++q) {
+        const std::span<const Scored> top = s.queries[q].topk.ranked();
+        std::uint32_t* row = out_ids + (b + q) * k;
+        for (std::size_t j = 0; j < top.size(); ++j) row[j] = top[j].id;
+        std::fill(row + top.size(), row + k, kInvalidId);
+        if (out_scores != nullptr) {
+          float* srow = out_scores + (b + q) * k;
+          for (std::size_t j = 0; j < top.size(); ++j) srow[j] = top[j].score;
+          std::fill(srow + top.size(), srow + k, 0.0f);
+        }
+        if (on_query_done) on_query_done(b + q);
+      }
     }
   };
 

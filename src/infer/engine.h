@@ -7,15 +7,16 @@
 // the batch entry point fans a whole query batch out over the thread pool
 // with one lease per worker chunk.
 //
-// Both ranking modes run the library's one forward pass
-// (inference_forward), the code training, Network::predict_topk and the
-// trainer's eval run too:
+// Both ranking modes run the library's one ranking pass (inference_topk
+// in core/inference.h), the code Network::predict_topk and the trainer's
+// eval run too:
 //   Dense    every output neuron is evaluated through the blocked
-//            dot_rows_* kernels: exact, and bit-identical to
-//            Network::predict_topk on the same frozen weights.  A batch
-//            runs each worker chunk as one query block (kQueryBlock
-//            queries at most, fewer for a model too wide for
-//            kQueryBlockBytes), so each weight row is loaded once per block.
+//            dot_rows_* kernels, kOutputTileRows rows at a time, and each
+//            tile merges into the query's running top-k: exact, and
+//            bit-identical to Network::predict_topk on the same frozen
+//            weights.  A batch runs each worker chunk as query blocks of
+//            kQueryBlock queries at every output width, so each weight row
+//            is loaded once per block.
 //   Sampled  the frozen LSH tables pick a candidate set first (SLIDE's
 //            sublinear inference); top-k is taken over the candidates only.
 //            Candidate sets differ per query, so a batch runs query by query.
@@ -84,7 +85,6 @@ class InferenceEngine {
     // One per query of a Dense block, added as blocks need them; queries[0]
     // also serves single and Sampled queries.
     std::vector<ForwardScratch> queries;
-    std::vector<std::uint32_t> topk;
   };
   // RAII lease: returns the scratch to the freelist on destruction.
   class Lease {
@@ -105,19 +105,8 @@ class InferenceEngine {
   // Gives a lease at least n query slots.
   void reserve_queries(Scratch& s, std::size_t n) const;
 
-  // Runs the inference pass on one query in s.queries[0], leaving the output
-  // logits in the last layer's scratch: compact over `active` in sampled
-  // mode, full-width otherwise.  A layer whose sampled candidate set comes
-  // up empty (possible when min_active == 0 and every probed bucket is
-  // empty) computes every neuron, as in Dense mode.
-  void forward(data::SparseVectorView x, TopKMode mode, Scratch& s);
-  // Query slot q's top k (ids, and optionally scores) from its logits.
-  static void emit_topk(Scratch& s, std::size_t q, std::size_t k,
-                        std::vector<std::uint32_t>& ids, std::vector<float>* scores);
-
   const PackedModel& model_;
   std::vector<LayerView> views_;  // one per model layer
-  std::size_t block_ = 1;         // queries per Dense block (query_block_size)
   std::uint64_t seed_;
   std::atomic<std::uint64_t> scratch_seq_{0};
   std::mutex mutex_;

@@ -493,6 +493,9 @@ PackedModel PackedModel::load(std::istream& in) {
     // serialize_io reports truncation as a plain runtime_error; fold it
     // into the integrity taxonomy so callers can branch on the type.
     throw ModelIntegrityError(std::string("packed model: ") + e.what());
+  } catch (const std::invalid_argument& e) {
+    // So does a hash family refusing the K and L a layer record declares.
+    throw ModelIntegrityError(std::string("packed model: ") + e.what());
   }
 }
 

@@ -70,8 +70,9 @@ class ModelIoError : public std::runtime_error {
 };
 
 // The model file was read but is not a valid SLDP payload: bad magic,
-// unsupported version, truncation, or a section checksum mismatch.  The
-// message names the failing section and stream offset.
+// unsupported version, truncation, a section checksum mismatch, or an LSH
+// config the hash family refuses.  The message names the failing section
+// and stream offset.
 class ModelIntegrityError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };

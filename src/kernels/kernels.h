@@ -39,7 +39,11 @@
 //                             weight/momentum/velocity/gradient rows.
 //   fp32_to_bf16 / bf16_to_fp32  Section 4.4 quantization (round-to-nearest-
 //                             even, matching VCVTNEPS2BF16 semantics).
-//   softmax_f32, relu_f32, reduce_*, argmax_f32, fill_f32, gather_f32,
+//   first_above_f32           the ranking scan: the next score above the
+//                             running top-k's k-th best (core/metrics.h), so
+//                             a wide output layer's logits cost one vector
+//                             compare per W scores instead of a heap test each.
+//   softmax_f32, relu_f32, reduce_*, fill_f32, gather_f32,
 //   gather_scatter_f32, wta_winners_f32
 //                             layer activations, evaluation, and the DWTA
 //                             hashing pipeline of Section 4.3.3.
@@ -90,7 +94,7 @@ struct KernelTable {
   void (*relu_f32)(float* x, std::size_t n);
   float (*reduce_sum_f32)(const float* x, std::size_t n);
   float (*reduce_max_f32)(const float* x, std::size_t n);
-  std::size_t (*argmax_f32)(const float* x, std::size_t n);
+  std::size_t (*first_above_f32)(const float* x, std::size_t n, float threshold);
   void (*softmax_f32)(float* x, std::size_t n);
 
   void (*fp32_to_bf16)(const float* src, bf16* dst, std::size_t n);
@@ -260,9 +264,10 @@ inline float reduce_sum_f32(const float* x, std::size_t n) {
 inline float reduce_max_f32(const float* x, std::size_t n) {
   return detail::active_table()->reduce_max_f32(x, n);
 }
-// Returns n when n == 0; ties resolve to the lowest index.
-inline std::size_t argmax_f32(const float* x, std::size_t n) {
-  return detail::active_table()->argmax_f32(x, n);
+// The first i in [0, n) with x[i] > threshold, or n when there is none.  The
+// compare is ordered: a NaN on either side never passes.
+inline std::size_t first_above_f32(const float* x, std::size_t n, float threshold) {
+  return detail::active_table()->first_above_f32(x, n, threshold);
 }
 // Numerically stable in-place softmax; no-op when n == 0.
 inline void softmax_f32(float* x, std::size_t n) { detail::active_table()->softmax_f32(x, n); }

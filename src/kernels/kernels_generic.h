@@ -261,48 +261,29 @@ struct GenericKernels {
     return S::reduce_max(acc);
   }
 
-  static std::size_t argmax_f32(const float* x, std::size_t n) {
+  // The first i with x[i] > threshold, or n.  The compare is ordered, so a
+  // NaN score never passes and a NaN threshold passes nothing.
+  static std::size_t first_above_f32(const float* x, std::size_t n, float threshold) {
     if constexpr (W == 1) {
-      if (n == 0) return 0;
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < n; ++i) {
-        if (x[i] > x[best]) best = i;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (x[i] > threshold) return i;
       }
-      return best;
+      return n;
     } else {
-      if (n == 0) return 0;
-      vf vmax = S::set1(-FLT_MAX);
-      vi vidx = S::set1_i(0);
-      vi cur = S::iota();
-      const vi step = S::set1_i(static_cast<std::int32_t>(W));
+      const vf t = S::set1(threshold);
       std::size_t i = 0;
       for (; i + W <= n; i += W) {
-        const vf v = S::loadu(x + i);
-        const auto gt = S::cmp_gt(v, vmax);
-        vmax = S::select(gt, v, vmax);
-        vidx = S::select_i(gt, cur, vidx);
-        cur = S::add_i(cur, step);
+        const unsigned hits = S::mask_bits(S::cmp_gt(S::loadu(x + i), t));
+        if (hits != 0) return i + static_cast<std::size_t>(__builtin_ctz(hits));
       }
       if (i < n) {
+        // The zero-filled lanes past n must not count as hits.
         const std::size_t rem = n - i;
-        const vf v = S::select(S::partial_mask(rem), S::load_partial(x + i, rem),
-                               S::set1(-FLT_MAX));
-        const auto gt = S::cmp_gt(v, vmax);
-        vmax = S::select(gt, v, vmax);
-        vidx = S::select_i(gt, cur, vidx);
+        const unsigned hits =
+            S::mask_bits(S::cmp_gt(S::load_partial(x + i, rem), t)) & ((1u << rem) - 1u);
+        if (hits != 0) return i + static_cast<std::size_t>(__builtin_ctz(hits));
       }
-      alignas(64) float lane_val[W];
-      alignas(64) std::uint32_t lane_idx[W];
-      S::store_arr(lane_val, vmax);
-      S::store_arr_i(lane_idx, vidx);
-      std::size_t best = 0;
-      for (std::size_t j = 1; j < W; ++j) {
-        if (lane_val[j] > lane_val[best] ||
-            (lane_val[j] == lane_val[best] && lane_idx[j] < lane_idx[best])) {
-          best = j;
-        }
-      }
-      return lane_idx[best];
+      return n;
     }
   }
 
@@ -950,7 +931,7 @@ constexpr KernelTable make_kernel_table(const char* name) {
   t.relu_f32 = &G::relu_f32;
   t.reduce_sum_f32 = &G::reduce_sum_f32;
   t.reduce_max_f32 = &G::reduce_max_f32;
-  t.argmax_f32 = &G::argmax_f32;
+  t.first_above_f32 = &G::first_above_f32;
   t.softmax_f32 = &G::softmax_f32;
   t.fp32_to_bf16 = &G::fp32_to_bf16;
   t.bf16_to_fp32 = &G::bf16_to_fp32;

@@ -24,8 +24,10 @@
 //   arithmetic                add sub mul div sqrt max fmadd(a,b,c)=a*b+c
 //                             fnmadd(a,b,c)=c-a*b
 //   horizontal                reduce_add, reduce_max
-//   compare/blend             cmp_gt -> vm, select(m,a,b)=m?a:b, select_i
-//   integer lanes             set1_i, iota (0..W-1), add_i, store_arr{,_i}
+//   compare/blend             cmp_gt -> vm (ordered: false on NaN),
+//                             select(m,a,b)=m?a:b, mask_bits(m) (lane j's
+//                             flag in bit j)
+//   integer lanes             set1_i, add_i, store_arr_i
 //   sparse                    load_idx, gather(base,vi), gather_partial,
 //                             scatter (indices must be unique per call)
 //   bf16                      load_bf16{,_partial} widen to fp32;
@@ -99,13 +101,11 @@ struct SimdScalar {
   static float reduce_max(vf v) { return v; }
 
   static vm cmp_gt(vf a, vf b) { return a > b; }
+  static unsigned mask_bits(vm m) { return m ? 1u : 0u; }
   static vf select(vm m, vf a, vf b) { return m ? a : b; }
-  static vi select_i(vm m, vi a, vi b) { return m ? a : b; }
 
   static vi set1_i(std::int32_t x) { return x; }
-  static vi iota() { return 0; }
   static vi add_i(vi a, vi b) { return a + b; }
-  static void store_arr(float* dst, vf v) { dst[0] = v; }
   static void store_arr_i(std::uint32_t* dst, vi v) { dst[0] = static_cast<std::uint32_t>(v); }
 
   static vi load_idx(const std::uint32_t* idx) { return static_cast<vi>(idx[0]); }
@@ -193,15 +193,11 @@ struct SimdAvx2 {
   }
 
   static vm cmp_gt(vf a, vf b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
+  static unsigned mask_bits(vm m) { return static_cast<unsigned>(_mm256_movemask_ps(m)); }
   static vf select(vm m, vf a, vf b) { return _mm256_blendv_ps(b, a, m); }
-  static vi select_i(vm m, vi a, vi b) {
-    return _mm256_blendv_epi8(b, a, _mm256_castps_si256(m));
-  }
 
   static vi set1_i(std::int32_t x) { return _mm256_set1_epi32(x); }
-  static vi iota() { return _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7); }
   static vi add_i(vi a, vi b) { return _mm256_add_epi32(a, b); }
-  static void store_arr(float* dst, vf v) { _mm256_storeu_ps(dst, v); }
   static void store_arr_i(std::uint32_t* dst, vi v) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), v);
   }
@@ -349,15 +345,11 @@ struct SimdAvx512 {
   static float reduce_max(vf v) { return _mm512_reduce_max_ps(v); }
 
   static vm cmp_gt(vf a, vf b) { return _mm512_cmp_ps_mask(a, b, _CMP_GT_OQ); }
+  static unsigned mask_bits(vm m) { return m; }
   static vf select(vm m, vf a, vf b) { return _mm512_mask_blend_ps(m, b, a); }
-  static vi select_i(vm m, vi a, vi b) { return _mm512_mask_blend_epi32(m, b, a); }
 
   static vi set1_i(std::int32_t x) { return _mm512_set1_epi32(x); }
-  static vi iota() {
-    return _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-  }
   static vi add_i(vi a, vi b) { return _mm512_add_epi32(a, b); }
-  static void store_arr(float* dst, vf v) { _mm512_storeu_ps(dst, v); }
   static void store_arr_i(std::uint32_t* dst, vi v) {
     _mm512_storeu_si512(reinterpret_cast<void*>(dst), v);
   }

@@ -27,6 +27,7 @@ DwtaHash::DwtaHash(std::size_t dim, int k, int l, std::uint64_t seed)
   if (dim == 0) throw std::invalid_argument("DwtaHash: dim must be > 0");
   if (k < 1 || k > 10) throw std::invalid_argument("DwtaHash: k must be in [1, 10]");
   if (l < 1) throw std::invalid_argument("DwtaHash: l must be >= 1");
+  check_total_buckets("DwtaHash", std::size_t{1} << (kBitsPerHash * k), l);
 
   num_bins_ = static_cast<std::size_t>(k_) * static_cast<std::size_t>(l_);
   num_positions_ = num_bins_ * kBinSize;

@@ -28,7 +28,7 @@ class DwtaHash final : public HashFamily {
   static constexpr int kMaxDensificationAttempts = 100;
 
   // k hashes per table, l tables.  Requires 1 <= k <= 10 (bucket index must
-  // fit 30 bits) and dim >= 1.
+  // fit 30 bits), l >= 1 with l * 2^(3k) <= kMaxTotalBuckets, and dim >= 1.
   DwtaHash(std::size_t dim, int k, int l, std::uint64_t seed);
 
   std::size_t input_dim() const override { return dim_; }

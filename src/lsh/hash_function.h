@@ -8,8 +8,27 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace slide::lsh {
+
+// The most buckets one layer's L tables may hold together.  LshTables
+// zero-fills 16 bytes per bucket up front, so this caps a layer's tables
+// at 2 GiB.  It admits the paper's widest shape (DWTA K = 6, L = 400:
+// 2^18 buckets x 400 tables) and rejects a K and L that a small model file
+// could declare to ask for terabytes.
+inline constexpr std::size_t kMaxTotalBuckets = std::size_t{1} << 27;
+
+// Throws std::invalid_argument when l tables of `bucket_range` buckets
+// exceed kMaxTotalBuckets; a family calls it before it allocates anything.
+inline void check_total_buckets(const char* family, std::size_t bucket_range, int l) {
+  if (static_cast<std::size_t>(l) * bucket_range > kMaxTotalBuckets) {
+    throw std::invalid_argument(std::string(family) + ": L x buckets per table (" +
+                                std::to_string(l) + " x " + std::to_string(bucket_range) +
+                                ") exceeds " + std::to_string(kMaxTotalBuckets));
+  }
+}
 
 class HashFamily {
  public:

@@ -14,6 +14,7 @@ SimHash::SimHash(std::size_t dim, int k, int l, std::uint64_t seed,
   if (dim == 0) throw std::invalid_argument("SimHash: dim must be > 0");
   if (k < 1 || k > 30) throw std::invalid_argument("SimHash: k must be in [1, 30]");
   if (l < 1) throw std::invalid_argument("SimHash: l must be >= 1");
+  check_total_buckets("SimHash", std::size_t{1} << k, l);
   num_bits_ = static_cast<std::size_t>(k_) * static_cast<std::size_t>(l_);
   if (num_bits_ * dim_ * sizeof(float) <= max_table_bytes) {
     signs_.resize(num_bits_ * dim_);

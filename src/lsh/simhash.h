@@ -19,7 +19,8 @@ namespace slide::lsh {
 
 class SimHash final : public HashFamily {
  public:
-  // k bits per table, l tables.  Requires 1 <= k <= 30.
+  // k bits per table, l tables.  Requires 1 <= k <= 30 and l >= 1 with
+  // l * 2^k <= kMaxTotalBuckets.
   // Rows are materialized when dim * k * l floats fit `max_table_bytes`.
   SimHash(std::size_t dim, int k, int l, std::uint64_t seed,
           std::size_t max_table_bytes = 64ull << 20);

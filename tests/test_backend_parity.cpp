@@ -1,7 +1,8 @@
 // Backend-parity tests: every KernelTable entry, on every vector backend
 // available on this host, cross-checked against the scalar reference on the
 // same inputs.  Exact equality where the kernel is a pure data movement or
-// per-lane bit operation (fill, relu, gather, conversions, argmax, WTA);
+// per-lane bit operation (fill, relu, gather, conversions, threshold scan,
+// WTA);
 // tolerance-based where vector reductions legitimately reassociate the
 // summation order (dots, reductions, softmax, ADAM).
 #include <gtest/gtest.h>
@@ -11,12 +12,14 @@
 #include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "kernels/kernels.h"
+#include "util/aligned.h"
 #include "util/rng.h"
 
 namespace slide::kernels {
@@ -271,11 +274,57 @@ TEST_P(BackendParityTest, Reductions) {
     ASSERT_TRUE(set_isa(Isa::Scalar));
     const float ref_sum = reduce_sum_f32(x.data(), n);
     const float ref_max = n > 0 ? reduce_max_f32(x.data(), n) : 0.0f;
-    const std::size_t ref_arg = argmax_f32(x.data(), n);
     ASSERT_TRUE(set_isa(GetParam()));
     EXPECT_NEAR(reduce_sum_f32(x.data(), n), ref_sum, 1e-3f + std::abs(ref_sum) * 1e-5f);
     if (n > 0) EXPECT_EQ(reduce_max_f32(x.data(), n), ref_max) << "n=" << n;
-    EXPECT_EQ(argmax_f32(x.data(), n), ref_arg) << "n=" << n;
+  }
+}
+
+// first_above_f32 returns the scalar loop's index on every tier: lengths 0
+// to 4W+3 (W = 16, the widest tier) plus a long one, starts 0-3 floats
+// past a 64-byte boundary, one hit planted at every position (or none) in
+// a background at or below 0.5 that mixes in +-0, -inf and NaN, or in one
+// below every negative threshold (so a vector tail's zero-filled lanes
+// would show as hits), hits of 1, 2, +inf or NaN, and thresholds equal to,
+// between and outside those values, +-0, +-inf and NaN among them.
+TEST_P(BackendParityTest, FirstAboveExact) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> backgrounds[] = {{-1.0f, -0.5f, -0.0f, 0.0f, 0.5f, -inf, nan},
+                                            {-4.0f, -inf, nan}};
+  const float high[] = {1.0f, 2.0f, inf, nan};
+  const float thresholds[] = {-inf, -2.0f, -1.0f, -0.75f, -0.0f, 0.0f, 0.25f, 0.5f,
+                              0.75f, 1.0f, 1.5f, 2.0f, 3.0f, inf, nan};
+  std::vector<std::size_t> lengths(4 * 16 + 4);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.push_back(1000);
+  Rng rng(119);
+  AlignedVector<float> buf(1000 + 3);
+  for (std::size_t n_i = 0; n_i < lengths.size() * std::size(backgrounds); ++n_i) {
+    const std::size_t n = lengths[n_i % lengths.size()];
+    const std::vector<float>& low = backgrounds[n_i / lengths.size()];
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      float* x = buf.data() + offset;
+      for (std::size_t hit = 0; hit <= n; hit += n < 100 ? 1 : 37) {
+        for (std::size_t i = 0; i < n; ++i) x[i] = low[rng.uniform_u64(low.size())];
+        if (hit < n) x[hit] = high[rng.uniform_u64(std::size(high))];
+        for (const float t : thresholds) {
+          std::size_t want = n;
+          for (std::size_t i = 0; i < n; ++i) {
+            if (x[i] > t) {
+              want = i;
+              break;
+            }
+          }
+          ASSERT_TRUE(set_isa(Isa::Scalar));
+          ASSERT_EQ(first_above_f32(x, n, t), want) << "scalar n=" << n << " t=" << t;
+          ASSERT_TRUE(set_isa(GetParam()));
+          ASSERT_EQ(first_above_f32(x, n, t), want) << "n=" << n << " offset=" << offset
+                                                    << " hit=" << hit << " t=" << t
+                                                    << " background " << n_i / lengths.size();
+        }
+      }
+    }
   }
 }
 

@@ -42,6 +42,19 @@ TEST(Dwta, ValidatesConstructorArguments) {
   EXPECT_THROW(DwtaHash(16, 2, 0, 1), std::invalid_argument);
 }
 
+// L tables of 2^(3K) buckets may hold kMaxTotalBuckets (2^27) in all: the
+// paper's K = 6, L = 400 fits, as does K = 9 with one table; K = 10 (2^30
+// buckets per table) never does, and K = 6 stops at L = 512.
+TEST(Dwta, RejectsTablesPastTheBucketBudget) {
+  EXPECT_NO_THROW(DwtaHash(128, 6, 400, 1));
+  EXPECT_NO_THROW(DwtaHash(16, 6, 512, 1));
+  EXPECT_NO_THROW(DwtaHash(16, 9, 1, 1));
+  EXPECT_THROW(DwtaHash(16, 6, 513, 1), std::invalid_argument);
+  EXPECT_THROW(DwtaHash(16, 9, 2, 1), std::invalid_argument);
+  EXPECT_THROW(DwtaHash(16, 10, 1, 1), std::invalid_argument);
+  EXPECT_THROW(DwtaHash(16, 10, 1 << 30, 1), std::invalid_argument);
+}
+
 TEST(Dwta, GeometryIsConsistent) {
   const DwtaHash h(128, 6, 50, 7);
   EXPECT_EQ(h.num_tables(), 50u);

@@ -165,30 +165,6 @@ TEST_P(KernelIsaTest, ReduceSumAndMax) {
   }
 }
 
-TEST_P(KernelIsaTest, ArgmaxMatchesFirstMaximum) {
-  Rng rng(9);
-  for (const std::size_t n : kSizes) {
-    if (n == 0) {
-      EXPECT_EQ(argmax_f32(nullptr, 0), 0u);
-      continue;
-    }
-    auto x = random_vec(n, rng);
-    std::size_t ref = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (x[i] > x[ref]) ref = i;
-    }
-    EXPECT_EQ(argmax_f32(x.data(), n), ref) << "n=" << n;
-  }
-}
-
-TEST_P(KernelIsaTest, ArgmaxTiesResolveToLowestIndex) {
-  std::vector<float> x(40, 1.0f);
-  EXPECT_EQ(argmax_f32(x.data(), x.size()), 0u);
-  x[17] = 2.0f;
-  x[33] = 2.0f;
-  EXPECT_EQ(argmax_f32(x.data(), x.size()), 17u);
-}
-
 TEST_P(KernelIsaTest, SoftmaxSumsToOneAndMatchesScalar) {
   Rng rng(10);
   for (const std::size_t n : kSizes) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
 #include <vector>
+
+#include "kernels/kernels.h"
+#include "util/rng.h"
 
 namespace slide {
 namespace {
@@ -57,6 +63,42 @@ TEST(TopK, MatchesFullSortOnRandomInput) {
     return scores[a] > scores[b];
   });
   for (std::size_t i = 0; i < 20; ++i) EXPECT_EQ(out[i], all[i]) << i;
+}
+
+// topk_indices is a running top-k whose threshold scan is a dispatched
+// kernel.  On every tier it must return the first k ids of a stable sort
+// by score descending (ties to the lower id), for k in {0, 1, 5, n - 1, n,
+// n + 3}, over lengths around the vector widths and inputs drawn from a
+// few values (so most scores tie), with -0 beside +0 and +-inf among them.
+TEST(TopK, EqualsStableSortOnEveryTier) {
+  const kernels::Isa ambient = kernels::active_isa();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float pool[] = {-inf, -1.0f, -0.0f, 0.0f, 0.5f, 1.0f, 3.0f, inf};
+  Rng rng(17);
+  for (const kernels::Isa isa : kernels::available_isas()) {
+    ASSERT_TRUE(kernels::set_isa(isa));
+    for (const std::size_t n : {1u, 2u, 7u, 8u, 9u, 16u, 17u, 33u, 100u, 1000u}) {
+      for (const std::size_t distinct : {1u, 2u, 3u, 8u}) {
+        std::vector<float> scores(n);
+        for (float& v : scores) v = pool[rng.uniform_u64(distinct) + (8 - distinct) / 2];
+        std::vector<std::uint32_t> order(n);
+        std::iota(order.begin(), order.end(), 0u);
+        std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+          return scores[a] > scores[b];
+        });
+        for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{5}, n - 1, n,
+                                    n + 3}) {
+          std::vector<std::uint32_t> out;
+          topk_indices(scores.data(), n, k, out);
+          const std::vector<std::uint32_t> want(order.begin(),
+                                                order.begin() + std::min(k, n));
+          EXPECT_EQ(out, want) << kernels::isa_name(isa) << " n=" << n
+                               << " distinct=" << distinct << " k=" << k;
+        }
+      }
+    }
+  }
+  kernels::set_isa(ambient);
 }
 
 TEST(PrecisionAtK, ExactFractions) {

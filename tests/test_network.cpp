@@ -186,6 +186,7 @@ TEST(Network, PredictTop1IsArgmaxOfFullForward) {
   const std::vector<float> val = {1.0f, 1.0f};
   std::vector<std::uint32_t> top;
   net.predict_topk(view(idx, val), 1, ws, top);
+  inference_forward(net.views(), net.precision(), view(idx, val), /*sampled=*/false, ws);
   const auto& logits = ws.layers.back().act;
   for (std::size_t j = 0; j < logits.size(); ++j) {
     EXPECT_LE(logits[j], logits[top[0]]);
@@ -200,6 +201,7 @@ TEST(Network, PredictTopkOrdering) {
   std::vector<std::uint32_t> top;
   net.predict_topk(view(idx, val), 5, ws, top);
   ASSERT_EQ(top.size(), 5u);
+  inference_forward(net.views(), net.precision(), view(idx, val), /*sampled=*/false, ws);
   const auto& logits = ws.layers.back().act;
   for (std::size_t i = 1; i < top.size(); ++i) {
     EXPECT_GE(logits[top[i - 1]], logits[top[i]]);
@@ -207,26 +209,6 @@ TEST(Network, PredictTopkOrdering) {
   std::vector<std::uint32_t> top1;
   net.predict_topk(view(idx, val), 1, ws, top1);
   EXPECT_EQ(top[0], top1[0]);
-}
-
-// A query block's full-width activations stay within kQueryBlockBytes: 16
-// queries of a 13k-label model, one of a 670k-label model.  Int8 also
-// counts the widest layer's i32 dots.
-TEST(Network, QueryBlockSizeFitsByteBudget) {
-  const auto block = [](std::size_t hidden, std::size_t labels, Precision p) {
-    LayerView layers[2];
-    layers[0].dim = hidden;
-    layers[1].dim = labels;
-    return query_block_size(layers, p);
-  };
-  EXPECT_EQ(block(128, 13401, Precision::Fp32), kQueryBlock);
-  EXPECT_EQ(block(128, 13401, Precision::Int8), kQueryBlock);
-  EXPECT_EQ(block(128, 120000, Precision::Fp32), 8u);  // 480512 B per query
-  EXPECT_EQ(block(128, 120000, Precision::Int8), 4u);  // 960512 B
-  EXPECT_EQ(block(128, 300000, Precision::Bf16All), 3u);
-  EXPECT_EQ(block(128, 670091, Precision::Fp32), 1u);
-  EXPECT_EQ(block(128, 4000000, Precision::Fp32), 1u);
-  EXPECT_EQ(query_block_size({}, Precision::Fp32), kQueryBlock);
 }
 
 TEST(Network, TrainingStepReducesLossOnOneExample) {

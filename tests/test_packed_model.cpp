@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -102,6 +104,7 @@ TEST(PackedModel, DenseTopKBitIdenticalToNetwork) {
     engine.predict_topk(queries.features(i), 10, got, infer::TopKMode::Dense, &scores);
     ASSERT_EQ(want, got) << "query " << i;
     // Same kernels in the same order: logits must match bit for bit.
+    inference_forward(net.views(), net.precision(), queries.features(i), /*sampled=*/false, ws);
     const auto& logits = ws.layers.back().act;
     for (std::size_t j = 0; j < got.size(); ++j) {
       ASSERT_EQ(scores[j], logits[got[j]]) << "query " << i << " rank " << j;
@@ -400,8 +403,9 @@ TEST(PackedModel, SampledEmptySelectionEqualsDense) {
 // batch is one chunk (1-thread pool) or many.  The 60 -> 20 -> 37 -> 83 net
 // has two layers with dense inputs, whose widths and row counts leave
 // vector tails and partial row groups; it runs blocks of kQueryBlock.  The
-// 70001-wide output is too wide for that (blocks of 14, 7 at Int8), so a
-// 17-query chunk runs as several blocks.
+// 70001-wide output runs blocks of kQueryBlock too, its rows ranked in
+// tiles of kOutputTileRows, the last one partial, so a 17-query chunk runs
+// as a block of 16 and one of 1.
 TEST(PackedModel, DenseBatchBitIdenticalToSingleQueries) {
   for (const std::size_t labels : {83u, 70001u}) {
     NetworkConfig cfg = sample_config();
@@ -416,10 +420,6 @@ TEST(PackedModel, DenseBatchBitIdenticalToSingleQueries) {
       const infer::PackedModel pm = precision == Precision::Int8
                                         ? infer::PackedModel::freeze(net, precision, views)
                                         : infer::PackedModel::freeze(net, precision);
-      std::vector<LayerView> layer_views;
-      for (std::size_t i = 0; i < pm.num_layers(); ++i) layer_views.push_back(pm.layer(i).view());
-      const std::size_t wide_block = precision == Precision::Int8 ? 7 : 14;
-      EXPECT_EQ(query_block_size(layer_views, precision), labels == 83 ? kQueryBlock : wide_block);
       infer::InferenceEngine engine(pm);
       std::vector<std::vector<std::uint32_t>> want_ids(views.size());
       std::vector<std::vector<float>> want_scores(views.size());
@@ -446,6 +446,81 @@ TEST(PackedModel, DenseBatchBitIdenticalToSingleQueries) {
             EXPECT_EQ(0, std::memcmp(want_scores[q].data(), scores.data() + q * k,
                                      k * sizeof(float)))
                 << where << " query " << q;
+          }
+        }
+      }
+    }
+  }
+}
+
+// One query's scratch for `layers`, as the engine builds it.
+ForwardScratch scratch_for(std::span<const LayerView> layers) {
+  ForwardScratch s;
+  for (const LayerView& L : layers) s.layers.emplace_back(0, L);
+  return s;
+}
+
+// The output layer is ranked tile by tile (kOutputTileRows rows); its ids
+// and score bits must equal topk_indices over inference_forward's full
+// logits, for output widths around the tile, at Fp32, Bf16Activations and
+// Bf16All through Network::predict_topk and at Int8 through a PackedModel's
+// views, in blocks of 1, 4, 5 and 16 queries, with k up to the width + 2.
+TEST(TiledRanking, MatchesTopKOfFullLogits) {
+  const data::Dataset queries = query_set(16);
+  const std::vector<data::SparseVectorView> xs = dataset_views(queries);
+  constexpr std::size_t kTile = kOutputTileRows;
+  for (const std::size_t width : {std::size_t{1}, std::size_t{3}, kTile - 1, kTile, kTile + 1,
+                                  2 * kTile + 5}) {
+    for (const Precision precision : {Precision::Fp32, Precision::Bf16Activations,
+                                      Precision::Bf16All, Precision::Int8}) {
+      NetworkConfig cfg = sample_config();
+      cfg.precision = precision == Precision::Int8 ? Precision::Fp32 : precision;
+      cfg.layers = {{20}, {37}, {width, Activation::Softmax}};
+      const Network net(cfg);
+      std::optional<infer::PackedModel> pm;
+      std::vector<LayerView> layers(net.views().begin(), net.views().end());
+      if (precision == Precision::Int8) {
+        pm.emplace(infer::PackedModel::freeze(net, precision, xs));
+        for (std::size_t i = 0; i < pm->num_layers(); ++i) layers[i] = pm->layer(i).view();
+      }
+      // Query q's reference ranking: full logits, then topk_indices.
+      std::vector<AlignedVector<float>> logits(xs.size());
+      for (std::size_t q = 0; q < xs.size(); ++q) {
+        ForwardScratch r = scratch_for(layers);
+        inference_forward(layers, precision, xs[q], /*sampled=*/false, r);
+        logits[q] = r.layers.back().act;
+        ASSERT_EQ(logits[q].size(), width);
+      }
+      for (const std::size_t block : {1u, 4u, 5u, 16u}) {
+        std::vector<ForwardScratch> s(block, scratch_for(layers));
+        std::vector<std::vector<std::uint32_t>> ids(block);
+        for (const std::size_t k : {std::size_t{1}, std::size_t{5}, width, width + 2}) {
+          for (std::size_t q0 = 0; q0 < xs.size(); q0 += block) {
+            const std::size_t m = std::min(block, xs.size() - q0);
+            const std::span<const data::SparseVectorView> bxs(xs.data() + q0, m);
+            if (precision == Precision::Int8) {
+              inference_topk(layers, precision, bxs, /*sampled=*/false, k, {s.data(), m});
+            } else {
+              net.predict_topk(bxs, k, {s.data(), m}, {ids.data(), m});
+            }
+            for (std::size_t q = 0; q < m; ++q) {
+              const std::string where = "width=" + std::to_string(width) + " precision=" +
+                                        std::to_string(static_cast<int>(precision)) +
+                                        " block=" + std::to_string(block) +
+                                        " k=" + std::to_string(k) +
+                                        " query=" + std::to_string(q0 + q);
+              std::vector<std::uint32_t> want;
+              topk_indices(logits[q0 + q].data(), width, k, want);
+              const std::span<const Scored> got = s[q].topk.ranked();
+              ASSERT_EQ(got.size(), want.size()) << where;
+              if (precision != Precision::Int8) EXPECT_EQ(ids[q], want) << where;
+              for (std::size_t j = 0; j < want.size(); ++j) {
+                ASSERT_EQ(got[j].id, want[j]) << where << " rank " << j;
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(got[j].score),
+                          std::bit_cast<std::uint32_t>(logits[q0 + q][want[j]]))
+                    << where << " rank " << j;
+              }
+            }
           }
         }
       }
@@ -809,6 +884,39 @@ TEST(PackedModel, LoadRejectsOutOfRangeLayerConfigBytes) {
     } catch (const infer::ModelIntegrityError& e) {
       EXPECT_NE(std::string(e.what()).find("invalid"), std::string::npos) << e.what();
     }
+  }
+}
+
+// An SLDP file whose output layer declares DWTA K = 10 over 2^20 tables is
+// refused by the hash family before rebuild_lsh allocates any table, and
+// load reports it as an integrity error.  The metadata CRC is re-sealed,
+// so only the bucket budget can refuse it.
+TEST(PackedModel, LoadRejectsLshTablesPastTheBucketBudget) {
+  const Network net = trained_network();
+  ASSERT_EQ(net.num_layers(), 2u);
+  std::stringstream buffer;
+  infer::PackedModel::freeze(net).save(buffer);
+  std::string bytes = buffer.str();
+  // Header (29 bytes), layer 0's metadata and weight sections (each with
+  // its CRC), then layer 1's metadata: config record, seed, biases, CRC.
+  const std::size_t d0 = net.layer(0).dim();
+  const std::size_t meta = 29 + (io::kLayerConfigWireBytes + 8 + d0 * 4 + 4) +
+                           (d0 * net.layer(0).input_dim() * 4 + 4);
+  const std::size_t meta_bytes =
+      io::kLayerConfigWireBytes + 8 + net.layer(1).dim() * sizeof(float);
+  ASSERT_EQ(static_cast<std::uint8_t>(bytes[meta + 9]),
+            static_cast<std::uint8_t>(HashKind::Dwta));
+  const std::int32_t k = 10, l = 1 << 20;
+  std::memcpy(bytes.data() + meta + 10, &k, sizeof(k));
+  std::memcpy(bytes.data() + meta + 14, &l, sizeof(l));
+  const std::uint32_t crc = util::crc32c(bytes.data() + meta, meta_bytes);
+  std::memcpy(bytes.data() + meta + meta_bytes, &crc, sizeof(crc));
+  std::stringstream in(bytes);
+  try {
+    infer::PackedModel::load(in);
+    ADD_FAILURE() << "accepted DWTA K = 10, L = 2^20";
+  } catch (const infer::ModelIntegrityError& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos) << e.what();
   }
 }
 

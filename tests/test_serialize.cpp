@@ -244,6 +244,29 @@ TEST(Serialize, CheckpointStoresLayerZeroNeuronMajor) {
   }
 }
 
+// A checkpoint whose output layer declares DWTA K = 10 over 2^20 tables
+// (2^50 buckets, 16 PiB of table heads) is refused by the hash family
+// before Network(cfg) allocates any table.
+TEST(Serialize, RejectsLshTablesPastTheBucketBudget) {
+  const Network net(sample_config());
+  std::stringstream buffer;
+  save_network(net, buffer, false);
+  std::string bytes = buffer.str();
+  // The output layer's config record follows the 41-byte header and layer
+  // 0's record; its K and L are the int32s at +10 and +14.
+  const std::size_t record = 41 + io::kLayerConfigWireBytes;
+  const std::int32_t k = 10, l = 1 << 20;
+  std::memcpy(bytes.data() + record + 10, &k, sizeof(k));
+  std::memcpy(bytes.data() + record + 14, &l, sizeof(l));
+  std::stringstream in(bytes);
+  try {
+    load_network(in);
+    ADD_FAILURE() << "accepted DWTA K = 10, L = 2^20";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Serialize, RejectsOutOfRangeEnumBytes) {
   Network net(sample_config());
   std::stringstream buffer;

@@ -40,6 +40,15 @@ TEST(SimHash, ValidatesConstructorArguments) {
   EXPECT_THROW(SimHash(16, 4, 0, 1), std::invalid_argument);
 }
 
+// L tables of 2^K buckets may hold kMaxTotalBuckets (2^27) in all.
+TEST(SimHash, RejectsTablesPastTheBucketBudget) {
+  EXPECT_NO_THROW(SimHash(16, 20, 128, 1));
+  EXPECT_NO_THROW(SimHash(16, 27, 1, 1));
+  EXPECT_THROW(SimHash(16, 20, 129, 1), std::invalid_argument);
+  EXPECT_THROW(SimHash(16, 28, 1, 1), std::invalid_argument);
+  EXPECT_THROW(SimHash(16, 30, 1 << 30, 1), std::invalid_argument);
+}
+
 TEST(SimHash, BucketRangeIsPowerOfTwoOfK) {
   const SimHash h(64, 9, 50, 3);
   EXPECT_EQ(h.bucket_range(), 512u);

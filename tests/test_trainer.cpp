@@ -282,9 +282,8 @@ TEST(Trainer, PrecisionAtKEvaluation) {
 // test example is labelled with its own top-1 neuron, so every query adds
 // to the score, and a query the blocks skip or mis-rank shows.  At k = 1
 // and k = 4 every per-example precision is a binary fraction, so the sums
-// are exact in any order.  The 70000-label model is too wide for 16 queries
-// per block (query_block_size gives 14), so its chunks of 16 run as two
-// blocks.
+// are exact in any order.  The 70000-label model runs blocks of 16 too,
+// its output ranked in tiles of kOutputTileRows rows, the last one partial.
 TEST(Trainer, BlockedEvalEqualsPerQueryLoop) {
   for (const std::size_t labels : {120u, 70000u}) {
     data::SyntheticConfig cfg;
@@ -298,7 +297,6 @@ TEST(Trainer, BlockedEvalEqualsPerQueryLoop) {
     cfg.seed = 7;
     auto [train, test] = data::make_xc_datasets(cfg);
     Network net(slide_config(train.feature_dim(), train.label_dim()));
-    EXPECT_EQ(query_block_size(net.views(), net.precision()), labels == 120 ? 16u : 14u);
     TrainerConfig tcfg;
     tcfg.batch_size = 64;
     {
