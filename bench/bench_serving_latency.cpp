@@ -242,11 +242,50 @@ int run_tcp_loadgen(const std::string& connect, const std::string& queries_file,
 
 // --- --metrics-overhead: live registry vs no-op registry, same cell ----------
 //
-// The ISSUE-10 acceptance bar: counters + stage histograms on the hot path
-// must cost < 1% QPS.  Runs kPairs off/on pairs of one cell, alternating
-// which arm goes first so clock drift and warm-up land on both arms, and
-// judges the median of the per-pair overheads: a cell lasts milliseconds,
-// so one noisy cell moves a mean of a few pairs but not the median.
+// The acceptance bar: counters + stage histograms on the hot path must cost
+// < 1% QPS.  Runs kPairs off/on pairs of one cell, alternating which arm
+// goes first so clock drift and warm-up land on both arms, and judges the
+// median of the per-pair overheads: a cell lasts milliseconds, so one noisy
+// cell moves a mean of a few pairs but not the median.  Then it times the
+// instruments themselves, which a QPS delta of a few percent cannot resolve:
+// the median ns per Histogram::record and per Counter::inc over tight loops,
+// on a live and on a disabled registry.
+
+// Median ns per call of op(i) over kLoops timed loops of kOps calls.  The
+// empty asm keeps each call in the loop, as on the serving path, instead of
+// letting the compiler hoist a disabled handle's branch out of it.
+template <class Op>
+double median_ns_per_op(const Op& op) {
+  constexpr std::size_t kLoops = 21;
+  constexpr std::uint64_t kOps = 1u << 20;
+  std::vector<double> ns;
+  for (std::size_t loop = 0; loop < kLoops; ++loop) {
+    const Timer t;
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+      op(i);
+      asm volatile("" ::: "memory");
+    }
+    ns.push_back(t.seconds() * 1e9 / static_cast<double>(kOps));
+  }
+  std::sort(ns.begin(), ns.end());
+  return ns[kLoops / 2];
+}
+
+void print_record_costs() {
+  std::printf("per-record cost (median ns over 21 loops of 2^20 calls):\n");
+  for (const bool live : {true, false}) {
+    obs::MetricsRegistry registry(live);
+    obs::Histogram& hist = registry.histogram("bench_record_us", "timed records");
+    obs::Counter& counter = registry.counter("bench_inc_total", "timed increments");
+    // Latency-like values spread over many buckets (1 us .. ~1 s).
+    const double record_ns = median_ns_per_op(
+        [&](std::uint64_t i) { hist.record(1 + ((i * 2654435761u) >> 12) % 1000000); });
+    const double inc_ns = median_ns_per_op([&](std::uint64_t) { counter.inc(); });
+    std::printf("  %-8s registry: Histogram::record %.2f ns, Counter::inc %.2f ns\n",
+                live ? "live" : "disabled", record_ns, inc_ns);
+  }
+}
+
 int run_metrics_overhead(infer::InferenceEngine& engine,
                          std::span<const data::SparseVectorView> queries,
                          std::size_t total, unsigned clients, std::size_t batch_max) {
@@ -284,6 +323,7 @@ int run_metrics_overhead(infer::InferenceEngine& engine,
   const double median = quartile(2);
   std::printf("overhead per pair: median %+.2f%% [q1 %+.2f%%, q3 %+.2f%%] (target < 1%%)\n",
               median, quartile(1), quartile(3));
+  print_record_costs();
   // Pass/fail is advisory only when the delta is within run-to-run noise;
   // a hard gate would flake on loaded CI machines, so the exit code only
   // trips on an egregious regression.

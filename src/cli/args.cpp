@@ -215,7 +215,7 @@ std::string precision_usage_error(const std::string& got, bool allow_keep) {
 
 void add_isa_flag(ArgParser& args) {
   args.add_string("isa", "auto",
-                  "kernel backend: auto | scalar | avx2 | avx512 | avx512vnni");
+                  "kernel backend: auto | scalar | avx2 | avx512 | avx512vnni | avx512bf16");
 }
 
 bool apply_isa_flag(const ArgParser& args, std::string* error) {
@@ -224,7 +224,8 @@ bool apply_isa_flag(const ArgParser& args, std::string* error) {
   kernels::Isa isa;
   if (!kernels::parse_isa(value, &isa)) {
     if (error != nullptr) {
-      *error = "--isa must be auto|scalar|avx2|avx512|avx512vnni, got '" + value + "'";
+      *error = "--isa must be auto|scalar|avx2|avx512|avx512vnni|avx512bf16, got '" + value +
+               "'";
     }
     return false;
   }

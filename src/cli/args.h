@@ -100,7 +100,7 @@ bool parse_precision(std::string_view name, Precision* out);
 std::string precision_usage_error(const std::string& got, bool allow_keep);
 
 // Declares the standard --isa flag (auto | scalar | avx2 | avx512 |
-// avx512vnni).
+// avx512vnni | avx512bf16).
 void add_isa_flag(ArgParser& args);
 
 // Applies a parsed --isa value to the kernel dispatcher.  "auto" keeps the

@@ -13,7 +13,6 @@
 #include "kernels/simd.h"
 
 namespace slide::kernels {
-namespace {
 
 void wta_winners_avx512(const float* values, std::size_t num_bins, std::uint8_t* winners) {
   // One 8-wide bin per __m256: broadcast the horizontal max, then the first
@@ -29,6 +28,8 @@ void wta_winners_avx512(const float* values, std::size_t num_bins, std::uint8_t*
     winners[b] = eq == 0 ? 0 : static_cast<std::uint8_t>(__builtin_ctz(eq));
   }
 }
+
+namespace {
 
 constexpr KernelTable build_table() {
   KernelTable t = make_kernel_table<SimdAvx512>("avx512");

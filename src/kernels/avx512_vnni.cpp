@@ -5,9 +5,8 @@
 // reports both the base AVX-512 subsets and VNNI.  SimdAvx512Vnni inherits
 // every trait from SimdAvx512 and overrides only dpbusd, so the fp32 kernels
 // here are the same code as the avx512 backend — the int8 kernels fuse the
-// maddubs/madd/add triple into a single vpdpbusd.
-#include <immintrin.h>
-
+// maddubs/madd/add triple into a single vpdpbusd.  The WTA winner
+// extraction is avx512.cpp's.
 #include "kernels/backend_tables.h"
 #include "kernels/kernels_generic.h"
 #include "kernels/simd.h"
@@ -15,23 +14,9 @@
 namespace slide::kernels {
 namespace {
 
-void wta_winners_avx512vnni(const float* values, std::size_t num_bins, std::uint8_t* winners) {
-  // Same in-register winner extraction as the avx512 backend (see
-  // avx512.cpp); duplicated because each backend TU must carry its own
-  // copy compiled under its own -m flags.
-  for (std::size_t b = 0; b < num_bins; ++b) {
-    const __m256 v = _mm256_loadu_ps(values + 8 * b);
-    __m256 t = _mm256_max_ps(v, _mm256_permute2f128_ps(v, v, 1));
-    t = _mm256_max_ps(t, _mm256_shuffle_ps(t, t, _MM_SHUFFLE(1, 0, 3, 2)));
-    t = _mm256_max_ps(t, _mm256_shuffle_ps(t, t, _MM_SHUFFLE(2, 3, 0, 1)));
-    const __mmask8 eq = _mm256_cmp_ps_mask(v, t, _CMP_EQ_OQ);
-    winners[b] = eq == 0 ? 0 : static_cast<std::uint8_t>(__builtin_ctz(eq));
-  }
-}
-
 constexpr KernelTable build_table() {
   KernelTable t = make_kernel_table<SimdAvx512Vnni>("avx512vnni");
-  t.wta_winners_f32 = wta_winners_avx512vnni;
+  t.wta_winners_f32 = wta_winners_avx512;
   return t;
 }
 

@@ -1,9 +1,9 @@
 // Runtime backend selection (drives the Table 4 vectorization ablation).
 //
-// Four-way priority dispatch: AVX-512+VNNI > AVX-512 > AVX2 > scalar, each
-// gated on both compile-time availability (SLIDE_HAVE_*) and CPUID.  The
-// SLIDE_ISA environment variable overrides the automatic pick for the
-// process, with a logged fallback when the request can't be honored.
+// Five-way priority dispatch: AVX-512+BF16 > AVX-512+VNNI > AVX-512 > AVX2 >
+// scalar, each gated on both compile-time availability (SLIDE_HAVE_*) and
+// CPUID.  The SLIDE_ISA environment variable overrides the automatic pick
+// for the process, with a logged fallback when the request can't be honored.
 #include <atomic>
 #include <cstdlib>
 
@@ -35,16 +35,22 @@ const KernelTable* table_for(Isa isa) {
       if (cpu_has_avx512() && cpu_has_avx512_vnni()) return &kAvx512VnniTable;
 #endif
       return nullptr;
+    case Isa::Avx512Bf16:
+#if SLIDE_HAVE_AVX512BF16
+      if (cpu_has_avx512() && cpu_has_avx512_vnni() && cpu_has_avx512_bf16()) {
+        return &kAvx512Bf16Table;
+      }
+#endif
+      return nullptr;
   }
   return nullptr;
 }
 
-const KernelTable* best_table() {
-  if (const KernelTable* t = table_for(Isa::Avx512Vnni)) return t;
-  if (const KernelTable* t = table_for(Isa::Avx512)) return t;
-  if (const KernelTable* t = table_for(Isa::Avx2)) return t;
-  return &kScalarTable;
-}
+// Every tier in ascending priority order.
+constexpr Isa kIsas[] = {Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Avx512Vnni,
+                         Isa::Avx512Bf16};
+
+const KernelTable* best_table() { return table_for(preferred_isa()); }
 
 // First-use backend: SLIDE_ISA if set and honorable, else the best available.
 const KernelTable* initial_table() {
@@ -55,7 +61,7 @@ const KernelTable* initial_table() {
   Isa isa;
   if (!parse_isa(request, &isa)) {
     log_warn("SLIDE_ISA='", env, "' is not a backend name (expected scalar | avx2 | ",
-             "avx512 | avx512vnni | auto); using ", best_table()->name);
+             "avx512 | avx512vnni | avx512bf16 | auto); using ", best_table()->name);
     return best_table();
   }
   if (const KernelTable* t = table_for(isa)) return t;
@@ -82,24 +88,17 @@ const KernelTable* active_table() {
 }  // namespace detail
 
 bool avx512_available() { return table_for(Isa::Avx512) != nullptr; }
-bool avx512_vnni_available() { return table_for(Isa::Avx512Vnni) != nullptr; }
-bool avx2_available() { return table_for(Isa::Avx2) != nullptr; }
 bool isa_available(Isa isa) { return table_for(isa) != nullptr; }
 
 std::vector<Isa> available_isas() {
-  std::vector<Isa> out{Isa::Scalar};
-  if (avx2_available()) out.push_back(Isa::Avx2);
-  if (avx512_available()) out.push_back(Isa::Avx512);
-  if (avx512_vnni_available()) out.push_back(Isa::Avx512Vnni);
+  std::vector<Isa> out;
+  for (const Isa isa : kIsas) {
+    if (isa_available(isa)) out.push_back(isa);
+  }
   return out;
 }
 
-Isa preferred_isa() {
-  if (avx512_vnni_available()) return Isa::Avx512Vnni;
-  if (avx512_available()) return Isa::Avx512;
-  if (avx2_available()) return Isa::Avx2;
-  return Isa::Scalar;
-}
+Isa preferred_isa() { return available_isas().back(); }
 
 bool set_isa(Isa isa) {
   const KernelTable* t = table_for(isa);
@@ -110,15 +109,9 @@ bool set_isa(Isa isa) {
 
 Isa active_isa() {
   const KernelTable* t = detail::active_table();
-#if SLIDE_HAVE_AVX512VNNI
-  if (t == &kAvx512VnniTable) return Isa::Avx512Vnni;
-#endif
-#if SLIDE_HAVE_AVX512
-  if (t == &kAvx512Table) return Isa::Avx512;
-#endif
-#if SLIDE_HAVE_AVX2
-  if (t == &kAvx2Table) return Isa::Avx2;
-#endif
+  for (const Isa isa : kIsas) {
+    if (table_for(isa) == t) return isa;
+  }
   return Isa::Scalar;
 }
 
@@ -130,26 +123,17 @@ const char* isa_name(Isa isa) {
     case Isa::Avx2: return "avx2";
     case Isa::Avx512: return "avx512";
     case Isa::Avx512Vnni: return "avx512vnni";
+    case Isa::Avx512Bf16: return "avx512bf16";
   }
   return "unknown";
 }
 
 bool parse_isa(std::string_view name, Isa* out) {
-  if (name == "scalar") {
-    *out = Isa::Scalar;
-    return true;
-  }
-  if (name == "avx2") {
-    *out = Isa::Avx2;
-    return true;
-  }
-  if (name == "avx512") {
-    *out = Isa::Avx512;
-    return true;
-  }
-  if (name == "avx512vnni") {
-    *out = Isa::Avx512Vnni;
-    return true;
+  for (const Isa isa : kIsas) {
+    if (name == isa_name(isa)) {
+      *out = isa;
+      return true;
+    }
   }
   return false;
 }

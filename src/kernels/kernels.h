@@ -1,14 +1,15 @@
 // ISA-dispatched compute kernels (paper Sections 4.2-4.4).
 //
 // Every numeric hot loop in the library goes through this table so that the
-// whole engine can be flipped between the AVX-512, AVX2, and scalar reference
-// backends at runtime — the AVX-512-vs-scalar switch *is* the paper's Table 4
-// ablation ("Impact of AVX-512"), and the AVX2 backend carries the same
-// speedup story to the commodity/cloud CPUs that lack AVX-512.  All three
-// backends are instantiations of one width-generic implementation layer
-// (simd.h + kernels_generic.h); each lives in its own translation unit
-// compiled with exactly the -m flags its ISA needs, so the fat binary stays
-// runnable on baseline x86-64.
+// whole engine can be flipped between the five backends (scalar reference,
+// AVX2, AVX-512, AVX-512 VNNI, AVX-512 BF16) at runtime — the
+// AVX-512-vs-scalar switch *is* the paper's Table 4 ablation ("Impact of
+// AVX-512"), the BF16-vs-VNNI switch is Table 3's native-vs-widened BF16, and
+// the AVX2 backend carries the same speedup story to the commodity/cloud CPUs
+// that lack AVX-512.  All five backends are instantiations of one
+// width-generic implementation layer (simd.h + kernels_generic.h); each
+// lives in its own translation unit compiled with exactly the -m flags its
+// ISA needs, so the fat binary stays runnable on baseline x86-64.
 //
 // Kernel inventory and the paper mechanism each one implements:
 //   dot_f32 / dot_bf16_*      Algorithm 1 (dense x, row-major W): dense inner
@@ -16,9 +17,13 @@
 //   dot_rows_*                Algorithm 1 over many rows and a block of
 //                             queries: a 4-row x 4-query register tile, so
 //                             each x load feeds 4 rows and each row load 4
-//                             queries; a one-query call (nq = 1) runs the
-//                             plain 4-row loop, with bit-identical results
-//                             (the scalar tier runs blocks query by query).
+//                             queries, whose 16 sums the AVX-512 tiers
+//                             reduce together; a one-query call (nq = 1)
+//                             runs the plain 4-row loop, with bit-identical
+//                             results (the scalar tier runs blocks query by
+//                             query).  On the avx512bf16 tier,
+//                             dot_rows_wbf16_xbf16 is Section 4.4's native
+//                             BF16 dot: vdpbf16ps, 32 bf16 per step.
 //   sparse_dot_*              Algorithm 1 applied to a sparse input vector via
 //                             AVX-512 gathers (input layer of SLIDE).
 //   axpy_*                    Algorithm 2 (sparse x, column-major W): each
@@ -65,7 +70,10 @@ namespace slide::kernels {
 // Priority order for automatic selection: highest value wins.  Avx512Vnni is
 // the AVX-512 table with the u8xs8 dot kernels fused into single vpdpbusd
 // instructions (every fp32 kernel is identical to the Avx512 tier).
-enum class Isa { Scalar, Avx2, Avx512, Avx512Vnni };
+// Avx512Bf16 is the VNNI table with dot_rows_wbf16_xbf16 on native vdpbf16ps
+// pair dots (bf16 operands never widen; its rounding differs from the other
+// tiers, see simd.h); every other kernel is identical to the Avx512Vnni tier.
+enum class Isa { Scalar, Avx2, Avx512, Avx512Vnni, Avx512Bf16 };
 
 // Function-pointer table filled in by each backend translation unit.
 struct KernelTable {
@@ -184,18 +192,15 @@ const KernelTable* active_table();
 // --- Backend selection -------------------------------------------------
 //
 // The initial backend is the best available one, unless the SLIDE_ISA
-// environment variable (scalar | avx2 | avx512 | auto) names another; an
-// unavailable or unrecognized SLIDE_ISA logs a warning and falls back to the
-// best available backend (mirroring SLIDE_NUM_THREADS's "env configures the
-// default" contract).
+// environment variable (scalar | avx2 | avx512 | avx512vnni | avx512bf16 |
+// auto) names another; an unavailable or unrecognized SLIDE_ISA logs a
+// warning and falls back to the best available backend (mirroring
+// SLIDE_NUM_THREADS's "env configures the default" contract).
 
 // True when the AVX-512 backend was compiled in AND the CPU supports it.
 bool avx512_available();
-// True when the AVX-512 VNNI backend was compiled in AND the CPU supports
-// both the AVX-512 base set and VNNI.
-bool avx512_vnni_available();
-// True when the AVX2 backend was compiled in AND the CPU supports AVX2+FMA.
-bool avx2_available();
+// True when the given backend was compiled in AND the CPU supports every
+// feature it was compiled against.
 bool isa_available(Isa isa);
 // Every backend usable on this CPU/build, in ascending priority order
 // (Scalar is always present and always first).
@@ -208,7 +213,8 @@ Isa preferred_isa();
 bool set_isa(Isa isa);
 Isa active_isa();
 const char* active_isa_name();
-// Canonical lowercase name ("scalar" | "avx2" | "avx512" | "avx512vnni").
+// Canonical lowercase name ("scalar" | "avx2" | "avx512" | "avx512vnni" |
+// "avx512bf16").
 const char* isa_name(Isa isa);
 // Parses a canonical name; returns false (out untouched) for anything else.
 bool parse_isa(std::string_view name, Isa* out);

@@ -401,7 +401,7 @@ struct GenericKernels {
   // rows, so each loaded row vector feeds four queries: a 4-row x 4-query
   // register tile, the nq % 4 leftover queries taking 4 x 1 tiles.  Every
   // (row, query) dot keeps the one-query arithmetic (one accumulator per row
-  // of a four-row group, dot_any's two for the nrows % 4 leftover rows, the
+  // of a four-row group, DotStep::dot for the nrows % 4 leftover rows, the
   // same tail and S::reduce_add), so a query's results do not depend on its
   // block.
 
@@ -409,6 +409,47 @@ struct GenericKernels {
   static T* row_ptr(T* w, std::size_t ld, const std::uint32_t* rows, std::size_t r) {
     return w + (rows != nullptr ? rows[r] : r) * ld;
   }
+
+  // The multiply-accumulate step of the row dots: N elements of a row and
+  // of a query into one fp32 accumulator.  By default both operands widen to
+  // fp32 and meet in S::fmadd, W elements per step, and a lone row is
+  // dot_any.  bf16 x bf16 on a trait with a native pair dot (S::dpbf16)
+  // feeds 2W bf16 elements per step, a zero-masked tail included, and a lone
+  // row runs that same one-accumulator loop.
+  template <class TW, class TX,
+            bool Native = std::is_same_v<TW, bf16> && std::is_same_v<TX, bf16> &&
+                          requires { typename S::vbh; }>
+  struct DotStep {
+    static constexpr std::size_t N = W;
+    using V = vf;
+    template <class T>
+    static V load(const T* p) {
+      return load_elems(p);
+    }
+    template <class T>
+    static V load_partial(const T* p, std::size_t rem) {
+      return load_elems_partial(p, rem);
+    }
+    static vf madd(vf acc, V w, V x) { return S::fmadd(w, x, acc); }
+    static float dot(const TW* row, const TX* x, std::size_t n) { return dot_any(x, row, n); }
+  };
+  template <class TW, class TX>
+  struct DotStep<TW, TX, true> {
+    static constexpr std::size_t N = 2 * W;
+    using V = typename S::vbh;
+    static V load(const bf16* p) { return S::load_bf16_pairs(p); }
+    static V load_partial(const bf16* p, std::size_t rem) {
+      return S::load_bf16_pairs_partial(p, rem);
+    }
+    static vf madd(vf acc, V w, V x) { return S::dpbf16(acc, w, x); }
+    static float dot(const bf16* row, const bf16* x, std::size_t n) {
+      vf acc = S::zero();
+      std::size_t i = 0;
+      for (; i + N <= n; i += N) acc = madd(acc, load(row + i), load(x + i));
+      if (i < n) acc = madd(acc, load_partial(row + i, n - i), load_partial(x + i, n - i));
+      return S::reduce_add(acc);
+    }
+  };
 
   // One query: the four-row loop.  Kept out of line: inlined beside the
   // block path, it lost the row pointers' registers and ran up to 20% slower
@@ -421,6 +462,7 @@ struct GenericKernels {
   [[gnu::noinline]] static void dot_rows_one(const TW* w, std::size_t ld,
                                              const std::uint32_t* rows, std::size_t nrows,
                                              const TX* x, std::size_t n, float* out) {
+    using St = DotStep<TW, TX>;
     std::size_t r = 0;
     if constexpr (W == 1 && std::is_same_v<TX, float>) {
       for (; r + 2 <= nrows; r += 2) {
@@ -442,27 +484,27 @@ struct GenericKernels {
       const TW* w3 = row_ptr(w, ld, rows, r + 3);
       vf a0 = S::zero(), a1 = S::zero(), a2 = S::zero(), a3 = S::zero();
       std::size_t i = 0;
-      for (; i + W <= n; i += W) {
-        const vf xv = load_elems(x + i);  // loaded (and widened) once, used 4x
-        a0 = S::fmadd(load_elems(w0 + i), xv, a0);
-        a1 = S::fmadd(load_elems(w1 + i), xv, a1);
-        a2 = S::fmadd(load_elems(w2 + i), xv, a2);
-        a3 = S::fmadd(load_elems(w3 + i), xv, a3);
+      for (; i + St::N <= n; i += St::N) {
+        const auto xv = St::load(x + i);  // loaded (and widened) once, used 4x
+        a0 = St::madd(a0, St::load(w0 + i), xv);
+        a1 = St::madd(a1, St::load(w1 + i), xv);
+        a2 = St::madd(a2, St::load(w2 + i), xv);
+        a3 = St::madd(a3, St::load(w3 + i), xv);
       }
       if (i < n) {
         const std::size_t rem = n - i;
-        const vf xv = load_elems_partial(x + i, rem);
-        a0 = S::fmadd(load_elems_partial(w0 + i, rem), xv, a0);
-        a1 = S::fmadd(load_elems_partial(w1 + i, rem), xv, a1);
-        a2 = S::fmadd(load_elems_partial(w2 + i, rem), xv, a2);
-        a3 = S::fmadd(load_elems_partial(w3 + i, rem), xv, a3);
+        const auto xv = St::load_partial(x + i, rem);
+        a0 = St::madd(a0, St::load_partial(w0 + i, rem), xv);
+        a1 = St::madd(a1, St::load_partial(w1 + i, rem), xv);
+        a2 = St::madd(a2, St::load_partial(w2 + i, rem), xv);
+        a3 = St::madd(a3, St::load_partial(w3 + i, rem), xv);
       }
       out[r + 0] = S::reduce_add(a0);
       out[r + 1] = S::reduce_add(a1);
       out[r + 2] = S::reduce_add(a2);
       out[r + 3] = S::reduce_add(a3);
     }
-    for (; r < nrows; ++r) out[r] = dot_any(x, row_ptr(w, ld, rows, r), n);
+    for (; r < nrows; ++r) out[r] = St::dot(row_ptr(w, ld, rows, r), x, n);
   }
 
   // Four queries per tile on every vector tier.  AVX2's 16 registers cannot
@@ -473,36 +515,43 @@ struct GenericKernels {
   // slower than single queries.
   static constexpr std::size_t kQueryTile = 4;
 
-  // Rows w[0..3] (row r..r+3 of the call) against queries x[0..Q).
+  // Rows w[0..3] (row r..r+3 of the call) against queries x[0..Q).  A full
+  // tile's sixteen sums reduce together where the trait has reduce_add_4x4
+  // (AVX-512), each with S::reduce_add's bits.
   template <std::size_t Q, class TW, class TX>
   [[gnu::always_inline]] static void dot_rows_tile(const TW* const* w, const TX* const* x,
                                                    std::size_t n, float* const* out,
                                                    std::size_t r) {
+    using St = DotStep<TW, TX>;
     vf a[4][Q];
     for (auto& row : a) {
       for (vf& acc : row) acc = S::zero();
     }
     // Each x vector is loaded (and widened) once and used 4x, each row
     // vector once and used Q times.
-    vf xv[Q];
+    typename St::V xv[Q];
     std::size_t i = 0;
-    for (; i + W <= n; i += W) {
-      for (std::size_t q = 0; q < Q; ++q) xv[q] = load_elems(x[q] + i);
+    for (; i + St::N <= n; i += St::N) {
+      for (std::size_t q = 0; q < Q; ++q) xv[q] = St::load(x[q] + i);
       for (std::size_t k = 0; k < 4; ++k) {
-        const vf wv = load_elems(w[k] + i);
-        for (std::size_t q = 0; q < Q; ++q) a[k][q] = S::fmadd(wv, xv[q], a[k][q]);
+        const auto wv = St::load(w[k] + i);
+        for (std::size_t q = 0; q < Q; ++q) a[k][q] = St::madd(a[k][q], wv, xv[q]);
       }
     }
     if (i < n) {
       const std::size_t rem = n - i;
-      for (std::size_t q = 0; q < Q; ++q) xv[q] = load_elems_partial(x[q] + i, rem);
+      for (std::size_t q = 0; q < Q; ++q) xv[q] = St::load_partial(x[q] + i, rem);
       for (std::size_t k = 0; k < 4; ++k) {
-        const vf wv = load_elems_partial(w[k] + i, rem);
-        for (std::size_t q = 0; q < Q; ++q) a[k][q] = S::fmadd(wv, xv[q], a[k][q]);
+        const auto wv = St::load_partial(w[k] + i, rem);
+        for (std::size_t q = 0; q < Q; ++q) a[k][q] = St::madd(a[k][q], wv, xv[q]);
       }
     }
-    for (std::size_t q = 0; q < Q; ++q) {
-      for (std::size_t k = 0; k < 4; ++k) out[q][r + k] = S::reduce_add(a[k][q]);
+    if constexpr (Q == 4 && requires { &S::reduce_add_4x4; }) {
+      S::reduce_add_4x4(a, out, r);
+    } else {
+      for (std::size_t q = 0; q < Q; ++q) {
+        for (std::size_t k = 0; k < 4; ++k) out[q][r + k] = S::reduce_add(a[k][q]);
+      }
     }
   }
 
@@ -526,7 +575,7 @@ struct GenericKernels {
     }
     for (; r < nrows; ++r) {
       const TW* row = row_ptr(w, ld, rows, r);
-      for (std::size_t q = 0; q < nq; ++q) out[q][r] = dot_any(x[q], row, n);
+      for (std::size_t q = 0; q < nq; ++q) out[q][r] = DotStep<TW, TX>::dot(row, x[q], n);
     }
   }
 

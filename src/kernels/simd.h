@@ -5,11 +5,13 @@
 // the vector types and the ~30 primitive operations (load/store/fma/gather/
 // reduce/mask/bf16) the generic kernels need, so lane width is the *only*
 // thing that differs between backends wherever the ISAs don't genuinely
-// diverge.  Three instantiations exist today:
+// diverge.  Five instantiations exist today:
 //
-//   SimdScalar   W=1   plain C++ (the reference semantics; no intrinsics)
-//   SimdAvx2     W=8   __m256 + FMA + vpgatherdps, vector masks for tails
-//   SimdAvx512   W=16  __m512, opmask registers for tails, native scatter
+//   SimdScalar      W=1   plain C++ (the reference semantics; no intrinsics)
+//   SimdAvx2        W=8   __m256 + FMA + vpgatherdps, vector masks for tails
+//   SimdAvx512      W=16  __m512, opmask registers for tails, native scatter
+//   SimdAvx512Vnni  W=16  SimdAvx512 with a fused vpdpbusd int8 step
+//   SimdAvx512Bf16  W=16  SimdAvx512Vnni with a native vdpbf16ps bf16 step
 //
 // The vector specializations are guarded by the compiler's own ISA macros:
 // only the TU compiled with the matching -m flags sees them, so this header
@@ -23,7 +25,9 @@
 //                             >= rem), store_partial, partial_mask(rem)
 //   arithmetic                add sub mul div sqrt max fmadd(a,b,c)=a*b+c
 //                             fnmadd(a,b,c)=c-a*b
-//   horizontal                reduce_add, reduce_max
+//   horizontal                reduce_add, reduce_max; AVX-512 also has
+//                             reduce_add_4x4 (a 4 x 4 tile's sixteen sums
+//                             at once, each with reduce_add's bits)
 //   compare/blend             cmp_gt -> vm (ordered: false on NaN),
 //                             select(m,a,b)=m?a:b, mask_bits(m) (lane j's
 //                             flag in bit j)
@@ -47,6 +51,9 @@
 //                             saturate i16 pair sums, so callers must keep u8
 //                             operands <= 127 (the quantizer's 7-bit ceiling);
 //                             within that contract every backend is bit-exact.
+//   native bf16 (BF16 trait)  vbh (2W bf16), load_bf16_pairs{,_partial},
+//                             dpbf16(acc,a,b) += per-lane sum of two bf16
+//                             products (vdpbf16ps)
 #pragma once
 
 #include <cmath>
@@ -341,8 +348,57 @@ struct SimdAvx512 {
   static vf fmadd(vf a, vf b, vf c) { return _mm512_fmadd_ps(a, b, c); }
   static vf fnmadd(vf a, vf b, vf c) { return _mm512_fnmadd_ps(a, b, c); }
 
-  static float reduce_add(vf v) { return _mm512_reduce_add_ps(v); }
+  // _mm512_reduce_add_ps's tree, step for step as GCC's header spells it
+  // (GCC emits the same instruction sequence for both): hi256 + lo256,
+  // hi128 + lo128, [k] + [k ^ 2], [0] + [1].  Written out so that
+  // reduce_add_4x4 below, which walks the same tree over sixteen vectors at
+  // once, matches it under every compiler.
+  static float reduce_add(vf v) {
+    const __m256 t3 = (__m256)_mm512_extractf64x4_pd((__m512d)v, 1) +
+                      (__m256)_mm512_extractf64x4_pd((__m512d)v, 0);
+    const __m128 t6 = _mm256_extractf128_ps(t3, 1) + _mm256_extractf128_ps(t3, 0);
+    const __m128 t8 = t6 + _mm_permute_ps(t6, _MM_SHUFFLE(1, 0, 3, 2));
+    return t8[0] + t8[1];
+  }
   static float reduce_max(vf v) { return _mm512_reduce_max_ps(v); }
+
+  // out[q][r + k] = reduce_add(a[k][q]) for a 4-row x 4-query tile.  Each
+  // level of reduce_add's tree runs over two vectors at once, adding the same
+  // lane pairs in the same operand order, so every sum keeps its bits while
+  // the tile pays 15 adds instead of 64 (the shuffles pair vector 2i with
+  // 2i + 1 of a[k][q] read as vector 4k + q).
+  [[gnu::always_inline]] static void reduce_add_4x4(const vf (&a)[4][4], float* const* out,
+                                                    std::size_t r) {
+    vf t3[8];  // hi256 + lo256: vectors 2i, 2i + 1 in the low, high halves
+    for (std::size_t i = 0; i < 8; ++i) {
+      const vf u = a[i / 2][2 * (i % 2)];
+      const vf v = a[i / 2][2 * (i % 2) + 1];
+      t3[i] = _mm512_add_ps(_mm512_shuffle_f32x4(u, v, _MM_SHUFFLE(3, 2, 3, 2)),
+                            _mm512_shuffle_f32x4(u, v, _MM_SHUFFLE(1, 0, 1, 0)));
+    }
+    vf t6[4];  // hi128 + lo128: quarter c holds vector 4j + c
+    for (std::size_t j = 0; j < 4; ++j) {
+      const vf u = t3[2 * j];
+      const vf v = t3[2 * j + 1];
+      t6[j] = _mm512_add_ps(_mm512_shuffle_f32x4(u, v, _MM_SHUFFLE(3, 1, 3, 1)),
+                            _mm512_shuffle_f32x4(u, v, _MM_SHUFFLE(2, 0, 2, 0)));
+    }
+    vf t8[2];  // [k] + [k ^ 2] for k = 0, 1: quarter c holds vectors 8m + c, 8m + 4 + c
+    for (std::size_t m = 0; m < 2; ++m) {
+      const vf u = t6[2 * m];
+      const vf v = t6[2 * m + 1];
+      t8[m] = _mm512_add_ps(_mm512_shuffle_ps(u, v, _MM_SHUFFLE(1, 0, 1, 0)),
+                            _mm512_shuffle_ps(u, v, _MM_SHUFFLE(3, 2, 3, 2)));
+    }
+    // [0] + [1]: quarter q holds vectors q, 4 + q, 8 + q, 12 + q, which are
+    // a[0..3][q], query q's four rows.
+    const vf sums = _mm512_add_ps(_mm512_shuffle_ps(t8[0], t8[1], _MM_SHUFFLE(2, 0, 2, 0)),
+                                  _mm512_shuffle_ps(t8[0], t8[1], _MM_SHUFFLE(3, 1, 3, 1)));
+    _mm_storeu_ps(out[0] + r, _mm512_castps512_ps128(sums));
+    _mm_storeu_ps(out[1] + r, _mm512_extractf32x4_ps(sums, 1));
+    _mm_storeu_ps(out[2] + r, _mm512_extractf32x4_ps(sums, 2));
+    _mm_storeu_ps(out[3] + r, _mm512_extractf32x4_ps(sums, 3));
+  }
 
   static vm cmp_gt(vf a, vf b) { return _mm512_cmp_ps_mask(a, b, _CMP_GT_OQ); }
   static unsigned mask_bits(vm m) { return m; }
@@ -438,6 +494,31 @@ struct SimdAvx512Vnni : SimdAvx512 {
 };
 
 #endif  // AVX-512 VNNI
+
+// --- AVX-512 BF16 (W = 16) --------------------------------------------------
+// The VNNI trait plus a native bf16 x bf16 dot step, vdpbf16ps: 2W bf16 per
+// step (two per fp32 lane), never widened.  Per lane it computes
+// fma(a[2i], b[2i], fma(a[2i + 1], b[2i + 1], acc)) with exact products, and
+// it reads subnormal inputs as zero and flushes subnormal results whatever
+// MXCSR says, so its dots round differently from the widening tiers.  Only
+// the generic row dots over bf16 weights and bf16 inputs pick it up; every
+// other kernel is the VNNI tier's.  Only the avx512_bf16.cpp TU, compiled
+// with -mavx512bf16 on top of the VNNI flags, sees this trait.
+
+#if defined(__AVX512BF16__) && defined(__AVX512VNNI__) && defined(__AVX512F__) && \
+    defined(__AVX512BW__) && defined(__AVX512DQ__) && defined(__AVX512VL__)
+
+struct SimdAvx512Bf16 : SimdAvx512Vnni {
+  using vbh = __m512bh;
+  static vbh load_bf16_pairs(const bf16* p) { return (vbh)_mm512_loadu_si512(p); }
+  // The first rem (< 2W) elements, the rest zero.
+  static vbh load_bf16_pairs_partial(const bf16* p, std::size_t rem) {
+    return (vbh)_mm512_maskz_loadu_epi16(static_cast<__mmask32>((1u << rem) - 1u), p);
+  }
+  static vf dpbf16(vf acc, vbh a, vbh b) { return _mm512_dpbf16_ps(acc, a, b); }
+};
+
+#endif  // AVX-512 BF16
 
 template <class S>
 typename S::vf simd_exp(typename S::vf x) {

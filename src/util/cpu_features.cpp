@@ -1,5 +1,7 @@
 #include "util/cpu_features.h"
 
+#include <string>
+
 namespace slide {
 
 bool cpu_has_avx512() {
@@ -23,6 +25,15 @@ bool cpu_has_avx512_vnni() {
 #endif
 }
 
+bool cpu_has_avx512_bf16() {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  static const bool has = __builtin_cpu_supports("avx512bf16");
+  return has;
+#else
+  return false;
+#endif
+}
+
 bool cpu_has_avx2() {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
   static const bool has = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -33,12 +44,17 @@ bool cpu_has_avx2() {
 }
 
 const char* cpu_feature_string() {
-  if (cpu_has_avx512()) {
-    return cpu_has_avx512_vnni() ? "avx512f avx512bw avx512dq avx512vl avx512vnni avx2 fma"
-                                 : "avx512f avx512bw avx512dq avx512vl avx2 fma";
-  }
-  if (cpu_has_avx2()) return "avx2 fma";
-  return "scalar-only";
+  static const std::string features = [] {
+    std::string out;
+    if (cpu_has_avx512()) {
+      out = "avx512f avx512bw avx512dq avx512vl ";
+      if (cpu_has_avx512_vnni()) out += "avx512vnni ";
+      if (cpu_has_avx512_bf16()) out += "avx512bf16 ";
+    }
+    if (cpu_has_avx2()) out += "avx2 fma";
+    return out.empty() ? std::string("scalar-only") : out;
+  }();
+  return features.c_str();
 }
 
 }  // namespace slide

@@ -697,6 +697,61 @@ TEST(BackendParity, DotRowsQueryBlockMatchesSingleQuery) {
   set_isa(ambient);
 }
 
+// The avx512bf16 tier's bf16 x bf16 row dots are vdpbf16ps: per fp32 lane,
+// fma(w[2i], x[2i], fma(w[2i + 1], x[2i + 1], acc)) over 32-element chunks
+// into one accumulator, with subnormal inputs read as zero.  Inputs nonzero
+// only in pair lane 0 of two chunks (elements 0, 1, 32 and 33) make every
+// dot exactly that chain, through the one-query loop, a 4 x 4 tile and a
+// leftover row alike.
+TEST(BackendParity, NativeBf16DotsChainPairLanes) {
+  if (!isa_available(Isa::Avx512Bf16)) GTEST_SKIP() << "no avx512bf16 tier here";
+  const Isa ambient = active_isa();
+  ASSERT_TRUE(set_isa(Isa::Avx512Bf16));
+  const std::size_t n = 40, nrows = 5, nq = 4;  // rows 0-3 form a tile, row 4 is left over
+  const std::size_t lanes[4] = {0, 1, 32, 33};
+  Rng rng(30);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<bf16> w(nrows * n), x(nq * n);
+    for (std::size_t r = 0; r < nrows; ++r) {
+      for (const std::size_t i : lanes) w[r * n + i] = bf16::from_float(rng.normal_float());
+    }
+    for (std::size_t q = 0; q < nq; ++q) {
+      for (const std::size_t i : lanes) x[q * n + i] = bf16::from_float(rng.normal_float());
+    }
+    std::vector<std::vector<float>> single(nq, std::vector<float>(nrows));
+    std::vector<std::vector<float>> block(nq, std::vector<float>(nrows));
+    std::vector<const bf16*> xs(nq);
+    std::vector<float*> out(nq);
+    for (std::size_t q = 0; q < nq; ++q) {
+      xs[q] = x.data() + q * n;
+      out[q] = block[q].data();
+      dot_rows_wbf16_xbf16(w.data(), n, nullptr, nrows, xs[q], n, single[q].data());
+    }
+    dot_rows_wbf16_xbf16(w.data(), n, nullptr, nrows, xs.data(), nq, n, out.data());
+    for (std::size_t q = 0; q < nq; ++q) {
+      for (std::size_t r = 0; r < nrows; ++r) {
+        const auto term = [&](std::size_t i, float acc) {
+          return std::fma(w[r * n + i].to_float(), xs[q][i].to_float(), acc);
+        };
+        const float want = term(32, term(33, term(0, term(1, 0.0f))));
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(single[q][r]), std::bit_cast<std::uint32_t>(want))
+            << "trial=" << trial << " q=" << q << " r=" << r;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(block[q][r]), std::bit_cast<std::uint32_t>(want))
+            << "trial=" << trial << " q=" << q << " r=" << r;
+      }
+    }
+  }
+  // A subnormal weight (2^-133) times 2^100 would add 2^-33 once widened;
+  // vdpbf16ps reads the subnormal as zero.
+  std::vector<bf16> w(nrows * n), x(n);
+  for (std::size_t r = 0; r < nrows; ++r) w[r * n] = bf16(std::uint16_t{0x0001});
+  x[0] = bf16::from_float(std::ldexp(1.0f, 100));
+  std::vector<float> got(nrows, -1.0f);
+  dot_rows_wbf16_xbf16(w.data(), n, nullptr, nrows, x.data(), n, got.data());
+  for (std::size_t r = 0; r < nrows; ++r) EXPECT_EQ(got[r], 0.0f) << "r=" << r;
+  set_isa(ambient);
+}
+
 INSTANTIATE_TEST_SUITE_P(VectorBackends, BackendParityTest,
                          ::testing::ValuesIn(available_isas()),
                          [](const ::testing::TestParamInfo<Isa>& info) {

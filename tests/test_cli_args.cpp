@@ -228,7 +228,8 @@ TEST(PrecisionFlag, UsageErrorListsValidNames) {
 TEST(IsaFlag, UnavailableBackendFallsBackWithoutError) {
   const kernels::Isa ambient = kernels::active_isa();
   // Find a recognized but unavailable backend, if any exists on this host.
-  for (const kernels::Isa isa : {kernels::Isa::Avx2, kernels::Isa::Avx512}) {
+  for (const kernels::Isa isa : {kernels::Isa::Avx2, kernels::Isa::Avx512,
+                                 kernels::Isa::Avx512Vnni, kernels::Isa::Avx512Bf16}) {
     if (kernels::isa_available(isa)) continue;
     ArgParser p("isa tool");
     add_isa_flag(p);

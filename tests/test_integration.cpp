@@ -130,11 +130,14 @@ TEST(Integration, TrainingConvergesOnEveryBackend) {
   const kernels::Isa ambient = kernels::active_isa();
   for (const kernels::Isa isa : kernels::available_isas()) {
     ASSERT_TRUE(kernels::set_isa(isa));
-    Network net(make_slide_mlp(task.train.feature_dim(), 24, task.train.label_dim(),
-                               task_lsh(), Precision::Fp32, 5));
-    Trainer trainer(net, tcfg);
-    const double p = trainer.train(task.train, task.test).final_p_at_1;
-    EXPECT_GT(p, 0.25) << "isa=" << kernels::isa_name(isa);
+    for (const Precision precision : {Precision::Fp32, Precision::Bf16All}) {
+      Network net(make_slide_mlp(task.train.feature_dim(), 24, task.train.label_dim(),
+                                 task_lsh(), precision, 5));
+      Trainer trainer(net, tcfg);
+      const double p = trainer.train(task.train, task.test).final_p_at_1;
+      EXPECT_GT(p, 0.25) << "isa=" << kernels::isa_name(isa)
+                         << " precision=" << static_cast<int>(precision);
+    }
   }
   kernels::set_isa(ambient);
 }

@@ -229,7 +229,7 @@ INSTANTIATE_TEST_SUITE_P(Backends, KernelIsaTest, ::testing::ValuesIn(available_
 
 TEST(KernelDispatch, SetIsaSwitchesBackend) {
   const Isa ambient = active_isa();
-  for (const Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512}) {
+  for (const Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Avx512Vnni, Isa::Avx512Bf16}) {
     if (isa_available(isa)) {
       ASSERT_TRUE(set_isa(isa));
       EXPECT_EQ(active_isa(), isa);
@@ -255,7 +255,7 @@ TEST(KernelDispatch, AvailableIsasIsScalarFirstAndPriorityOrdered) {
 }
 
 TEST(KernelDispatch, ParseIsaRoundTrips) {
-  for (const Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512}) {
+  for (const Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Avx512Vnni, Isa::Avx512Bf16}) {
     Isa parsed = Isa::Scalar;
     ASSERT_TRUE(parse_isa(isa_name(isa), &parsed));
     EXPECT_EQ(parsed, isa);
